@@ -32,7 +32,7 @@ import numpy as np
 #: Bump whenever a flow stage's *output* for identical inputs changes
 #: (new algorithm, bugfix, changed state layout).  Stale entries from
 #: older epochs are simply never looked up again.
-CACHE_EPOCH = 1
+CACHE_EPOCH = 2
 
 
 class UnhashableInputError(TypeError):

@@ -52,6 +52,15 @@ class StdCellLibrary:
             if cell.name in self._cells:
                 raise ValueError(f"duplicate cell {cell.name} in library {name}")
             self._cells[cell.name] = cell
+        # The library is immutable after construction, so the drive
+        # families are grouped once instead of rescanned per lookup.
+        families: Dict[str, List[StdCell]] = {}
+        for cell in self._cells.values():
+            families.setdefault(cell.name.rsplit("_X", 1)[0], []).append(cell)
+        self._families = {
+            base: sorted(members, key=lambda c: c.drive_index)
+            for base, members in families.items()
+        }
 
     def __contains__(self, name: str) -> bool:
         return name in self._cells
@@ -70,14 +79,12 @@ class StdCellLibrary:
 
     def family(self, base_name: str) -> List[StdCell]:
         """All drive variants of one family, ordered by increasing drive."""
-        members = [
-            cell
-            for cell in self._cells.values()
-            if cell.name.rsplit("_X", 1)[0] == base_name
-        ]
-        if not members:
-            raise KeyError(f"library {self.name} has no family {base_name}")
-        return sorted(members, key=lambda c: c.drive_index)
+        try:
+            return list(self._families[base_name])
+        except KeyError:
+            raise KeyError(
+                f"library {self.name} has no family {base_name}"
+            ) from None
 
     def family_of(self, cell: StdCell) -> List[StdCell]:
         """The drive family a given cell belongs to."""
@@ -99,7 +106,7 @@ class StdCellLibrary:
 
     @property
     def base_names(self) -> List[str]:
-        return sorted({name.rsplit("_X", 1)[0] for name in self._cells})
+        return sorted(self._families)
 
 
 def default_library(row_height: float = 1.2, width_scale: float = 1.0) -> StdCellLibrary:

@@ -248,14 +248,29 @@ class Netlist:
 
     @property
     def instances(self) -> List[Instance]:
+        """All instances in id order.
+
+        Each call returns a fresh O(n) copy, so bind it once outside
+        any per-element loop rather than indexing it inside one.
+        """
         return list(self._instance_list)
 
     @property
     def nets(self) -> List[Net]:
+        """All nets in id order.
+
+        Each call returns a fresh O(n) copy, so bind it once outside
+        any per-element loop rather than indexing it inside one.
+        """
         return list(self._net_list)
 
     @property
     def ports(self) -> List[Port]:
+        """All top-level ports in creation order.
+
+        Each call returns a fresh O(n) copy, so bind it once outside
+        any per-element loop rather than indexing it inside one.
+        """
         return list(self._ports.values())
 
     def instance(self, name: str) -> Instance:

@@ -317,9 +317,8 @@ def _geometry_key(
     ))
     unplaced = tuple(
         (inst.name, inst.master.width, inst.master.height)
-        for inst in netlist.instances
-        if isinstance(inst.master, Macro)
-        and inst.name not in macro_placements
+        for inst in netlist.macros()
+        if inst.name not in macro_placements
     )
     return (macro_items, port_items, unplaced)
 

@@ -60,14 +60,16 @@ class _FastHpwl:
 
     Swap evaluation reads a handful of nets thousands of times while the
     coordinates mutate in place — a vector gather per probe would cost
-    more than it saves.  These loops produce the same doubles as the
+    more than it saves.  ``x``/``y`` are Python-float mirrors of the
+    placement arrays, so each read is a plain list index rather than a
+    boxed numpy scalar.  These loops produce the same doubles as the
     scalar ``net_hpwl`` walk (same gathers, same max/min/sum order)
     without the per-term isinstance/dict/Point overhead.
     """
 
-    def __init__(self, placement: Placement):
-        self.x = placement.x
-        self.y = placement.y
+    def __init__(self, x: List[float], y: List[float], placement: Placement):
+        self.x = x
+        self.y = y
         self.terms = placement.geometry().net_terms_py()
 
     def net_hpwl(self, net_id: int) -> float:
@@ -152,83 +154,89 @@ def refine_placement(
 
     hpwl_before = placement.total_hpwl()
     swaps = 0
-    fast = _FastHpwl(placement)
+    # The swap loop runs on Python-float mirrors of the coordinates:
+    # the same doubles through the same operations, without boxing a
+    # numpy scalar on every read.  Written back once at the end.
+    X = placement.x.tolist()
+    Y = placement.y.tolist()
+    fast = _FastHpwl(X, Y, placement)
     # Per-cell eligible net ids, computed once — connectivity is static.
     cell_net_ids: Dict[int, List[int]] = {
         inst.id: [net.id for net in _cell_nets(inst, max_degree)]
         for inst in movable
     }
+    width = {inst.id: inst.master.width for inst in movable}
+    movable_ids = [inst.id for inst in movable]
 
     for _sweep in range(passes):
         # Spatial buckets for partner lookup.
         outline = placement.floorplan.outline
         bucket = max(outline.width, outline.height) / 32.0
-        buckets: Dict[Tuple[int, int], List[Instance]] = {}
-        for inst in movable:
+        buckets: Dict[Tuple[int, int], List[int]] = {}
+        for iid in movable_ids:
             key = (
-                int((placement.x[inst.id] - outline.xlo) / bucket),
-                int((placement.y[inst.id] - outline.ylo) / bucket),
+                int((X[iid] - outline.xlo) / bucket),
+                int((Y[iid] - outline.ylo) / bucket),
             )
-            buckets.setdefault(key, []).append(inst)
+            buckets.setdefault(key, []).append(iid)
 
         # Stretch ranking.
-        stretched: List[Tuple[float, Instance, float, float]] = []
-        for inst in movable:
-            net_ids = cell_net_ids[inst.id]
+        stretched: List[Tuple[float, int, float, float]] = []
+        for iid in movable_ids:
+            net_ids = cell_net_ids[iid]
             if not net_ids:
                 continue
-            sx, sy, count = fast.centroid_sums(net_ids, inst.id)
+            sx, sy, count = fast.centroid_sums(net_ids, iid)
             if count == 0:
                 continue
             cx, cy = sx / count, sy / count
-            stretch = abs(placement.x[inst.id] - cx) + abs(
-                placement.y[inst.id] - cy
-            )
-            stretched.append((stretch, inst, cx, cy))
+            stretch = abs(X[iid] - cx) + abs(Y[iid] - cy)
+            stretched.append((stretch, iid, cx, cy))
         stretched.sort(key=lambda item: -item[0])
         worst = stretched[: max(1, int(len(stretched) * stretch_fraction))]
 
         moved_this_pass = 0
-        for stretch, inst, cx, cy in worst:
+        for stretch, iid, cx, cy in worst:
             if stretch < bucket:
                 continue
             key = (
                 int((cx - outline.xlo) / bucket),
                 int((cy - outline.ylo) / bucket),
             )
-            candidates: List[Tuple[float, Instance]] = []
+            w = width[iid]
+            limit = width_tolerance * w
+            candidates: List[Tuple[float, int]] = []
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):
-                    for cand in buckets.get((key[0] + dx, key[1] + dy), []):
-                        if cand is inst:
+                    for cid in buckets.get((key[0] + dx, key[1] + dy), []):
+                        if cid == iid:
                             continue
-                        rel = abs(cand.master.width - inst.master.width)
-                        if rel > width_tolerance * inst.master.width:
+                        if abs(width[cid] - w) > limit:
                             continue
-                        d = abs(placement.x[cand.id] - cx) + abs(
-                            placement.y[cand.id] - cy
-                        )
-                        candidates.append((d, cand))
+                        d = abs(X[cid] - cx) + abs(Y[cid] - cy)
+                        candidates.append((d, cid))
             candidates.sort(key=lambda item: item[0])
-            for _d, partner in candidates[:8]:
+            for _d, pid in candidates[:8]:
                 # Union of both cells' nets, first-seen order (dict-keyed
                 # by name in the reference — ids are equivalent keys).
                 net_ids = list(dict.fromkeys(
-                    cell_net_ids[inst.id] + cell_net_ids[partner.id]
+                    cell_net_ids[iid] + cell_net_ids[pid]
                 ))
                 before = fast.nets_hpwl(net_ids)
-                ix, iy = placement.x[inst.id], placement.y[inst.id]
-                px, py = placement.x[partner.id], placement.y[partner.id]
-                placement.x[inst.id], placement.y[inst.id] = px, py
-                placement.x[partner.id], placement.y[partner.id] = ix, iy
+                ix, iy = X[iid], Y[iid]
+                px, py = X[pid], Y[pid]
+                X[iid], Y[iid] = px, py
+                X[pid], Y[pid] = ix, iy
                 after = fast.nets_hpwl(net_ids)
                 if after < before - 1e-9:
                     swaps += 1
                     moved_this_pass += 1
                     break
-                placement.x[inst.id], placement.y[inst.id] = ix, iy
-                placement.x[partner.id], placement.y[partner.id] = px, py
+                X[iid], Y[iid] = ix, iy
+                X[pid], Y[pid] = px, py
         if moved_this_pass == 0:
             break
 
+    placement.x[:] = X
+    placement.y[:] = Y
     return RefineResult(swaps, hpwl_before, placement.total_hpwl())

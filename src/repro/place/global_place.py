@@ -32,7 +32,7 @@ from repro.floorplan.floorplan import Floorplan
 from repro.geom import Point, Rect
 from repro.netlist.core import Instance, Net, Netlist, Port
 from repro.netlist.index import NetGeometryIndex, shared_geometry
-from repro.obs import active_recorder, count, gauge
+from repro.obs import active_recorder, count, gauge, span
 from repro.place.capacity import CapacityGrid
 
 # scipy renamed ``cg``'s convergence keyword from ``tol`` to ``rtol`` in
@@ -595,14 +595,13 @@ def global_place(
     into fixed placement guides — see :mod:`repro.place.regions`.
     """
     placement = Placement(netlist, floorplan, port_locations)
-    movable_ids = [inst.id for inst in netlist.instances if placement.movable[inst.id]]
+    instances = netlist.instances
+    movable_ids = [inst.id for inst in instances if placement.movable[inst.id]]
     if not movable_ids:
         return placement
     movable_index = {inst_id: k for k, inst_id in enumerate(movable_ids)}
     n = len(movable_ids)
-    areas = np.array(
-        [netlist.instances[i].area for i in movable_ids]
-    )
+    areas = np.array([instances[i].area for i in movable_ids])
 
     grid = (
         CapacityGrid(floorplan, options.grid_bins, options.grid_bins)
@@ -610,7 +609,10 @@ def global_place(
         else CapacityGrid.for_cell_count(floorplan, n)
     )
 
-    conn, star_nets = _build_connectivity(netlist, placement, movable_index, options)
+    with span("place_connectivity"):
+        conn, star_nets = _build_connectivity(
+            netlist, placement, movable_index, options
+        )
     center = floorplan.outline.center
     # Tiny pull to the center keeps the system positive definite even for
     # cells with no fixed connection.
@@ -631,7 +633,7 @@ def global_place(
     if options.module_cohesion > 0.0:
         by_module: Dict[str, List[int]] = {}
         for inst_id in movable_ids:
-            name = netlist.instances[inst_id].name
+            name = instances[inst_id].name
             module = name.split("/", 1)[0]
             by_module.setdefault(module, []).append(movable_index[inst_id])
         for module, members in by_module.items():
@@ -693,13 +695,15 @@ def global_place(
             bx = bx + weight * targets[0]
             by = by + weight * targets[1]
         mat = conn.matrix(extra)
-        x_new, _ = _cg(mat, bx, x0=x, tol=1e-6, maxiter=300,
-                       callback=cg_callback)
-        y_new, _ = _cg(mat, by, x0=y, tol=1e-6, maxiter=300,
-                       callback=cg_callback)
+        with span("place_solve", iteration=iteration):
+            x_new, _ = _cg(mat, bx, x0=x, tol=1e-6, maxiter=300,
+                           callback=cg_callback)
+            y_new, _ = _cg(mat, by, x0=y, tol=1e-6, maxiter=300,
+                           callback=cg_callback)
         count("cg_solves", 2)
         x, y = x_new, y_new
-        targets = _spread_targets(x, y, areas, grid)
+        with span("place_spread"):
+            targets = _spread_targets(x, y, areas, grid)
 
     # Final positions: the spread targets, clamped into the outline.
     assert targets is not None

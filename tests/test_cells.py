@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cells.library import DRIVE_STRENGTHS, default_library
+from repro.cells.library import DRIVE_STRENGTHS, StdCellLibrary, default_library
 from repro.cells.macro import Macro, MacroPin, Obstruction
 from repro.cells.memory_compiler import SRAMCompiler, SRAMConfig
 from repro.cells.stdcell import PinDirection, StdCell, StdCellPin
@@ -94,6 +94,28 @@ class TestLibrary:
     def test_invalid_width_scale(self):
         with pytest.raises(ValueError):
             default_library(width_scale=0.0)
+
+    @pytest.mark.parametrize("lib", [
+        default_library(),
+        default_library(width_scale=10.0),
+        default_library(row_height=0.9, width_scale=25.0),
+        # Cells handed over strongest-first: the map must still sort.
+        StdCellLibrary("reversed", list(reversed(list(default_library())))),
+    ])
+    def test_family_map_matches_full_scan(self, lib):
+        for base in lib.base_names:
+            scanned = sorted(
+                (c for c in lib if c.name.rsplit("_X", 1)[0] == base),
+                key=lambda c: c.drive_index,
+            )
+            assert lib.family(base) == scanned
+        # A fresh list each call: callers may not corrupt the map.
+        lib.family("INV").clear()
+        assert len(lib.family("INV")) == len(DRIVE_STRENGTHS)
+
+    def test_unknown_family(self, library):
+        with pytest.raises(KeyError, match="has no family MYSTERY"):
+            library.family("MYSTERY")
 
 
 class TestMacro:

@@ -40,9 +40,14 @@ def _snapshot(result) -> str:
     return write_def(result.design, result.placement, result.routed)
 
 
-@pytest.fixture(params=sorted(_RUNNERS))
+@pytest.fixture(scope="module", params=sorted(_RUNNERS))
 def flow_pair(request, traced_2d, traced_m3d, traced_s2d, traced_c2d):
-    """(first run result, identically-configured second run result)."""
+    """(first run result, identically-configured second run result).
+
+    Module-scoped: each flow's second run happens once and is compared
+    on placement, metrics and legalization by the tests below (the
+    results are read-only), rather than being re-run per test.
+    """
     first = {
         "2d": traced_2d, "m3d": traced_m3d,
         "s2d": traced_s2d, "c2d": traced_c2d,

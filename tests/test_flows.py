@@ -30,8 +30,8 @@ class TestFlow2D:
         assert summary.total_wirelength_m > 0
         assert flow_2d.legalization.failures == 0
 
-    def test_iso_performance_target(self):
-        base = run_flow_2d(small_cache_config(), scale=SCALE, options=FAST)
+    def test_iso_performance_target(self, flow_2d):
+        base = flow_2d  # the same run: FAST options at SCALE
         target = base.summary.fclk_mhz * 0.5
         iso = run_flow_2d(
             small_cache_config(), scale=SCALE,

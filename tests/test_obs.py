@@ -26,6 +26,7 @@ from repro.obs import (
     span,
 )
 from repro.obs.metrics import HistogramStats
+from tests.conftest import FLOW_OPTIONS
 
 
 class TestSpans:
@@ -432,3 +433,20 @@ class TestFlowTraces:
         assert total > 0.0
         staged = sum(root.duration_s for root in flow_trace.spans)
         assert staged == pytest.approx(total)
+
+    def test_placer_phases_nest_under_global_place(self, traced_2d):
+        _result, trace = traced_2d
+        place = trace.span("global_place")
+        assert place is not None
+        names = [child.name for child in place.children]
+        iterations = FLOW_OPTIONS.placer.iterations
+        assert names.count("place_connectivity") == 1
+        assert names.count("place_solve") == iterations
+        assert names.count("place_spread") == iterations
+        solves = [c for c in place.children if c.name == "place_solve"]
+        assert [c.attrs["iteration"] for c in solves] == list(range(iterations))
+        phases = sum(
+            c.duration_s for c in place.children
+            if c.name.startswith("place_")
+        )
+        assert phases <= place.duration_s

@@ -7,6 +7,7 @@ from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.macro_placer import place_macros_2d
 from repro.floorplan.pins import place_ports
 from repro.geom import Point, Rect
+from repro.netlist.core import Netlist
 from repro.place.capacity import CapacityGrid
 from repro.place.detailed import refine_placement
 from repro.place.global_place import GlobalPlacerOptions, Placement, global_place
@@ -153,6 +154,42 @@ class TestDetailed:
         legal = legalize(placement, tech.row_height).placement
         result = refine_placement(legal)
         assert result.swaps >= 0
+
+
+class TestLinearAccess:
+    """``Netlist.instances`` copies the whole list on every read, so a
+    per-cell read makes a placer stage quadratic in the cell count."""
+
+    @pytest.fixture()
+    def instance_reads(self, monkeypatch):
+        reads = [0]
+        accessor = Netlist.instances
+
+        def counted(netlist):
+            reads[0] += 1
+            return accessor.fget(netlist)
+
+        monkeypatch.setattr(Netlist, "instances", property(counted))
+        return reads
+
+    def test_global_place_reads_instances_at_most_twice(
+        self, tiny_tile, instance_reads
+    ):
+        fp = place_macros_2d(tiny_tile)
+        ports = place_ports(tiny_tile.netlist, fp.outline)
+        anchors = allocate_module_regions(tiny_tile.netlist, fp)
+        instance_reads[0] = 0
+        global_place(tiny_tile.netlist, fp, ports, module_anchors=anchors)
+        assert instance_reads[0] <= 2
+
+    def test_refine_placement_reads_instances_at_most_twice(
+        self, tiny_tile, placed_tile, tech, instance_reads
+    ):
+        _fp, placement = placed_tile
+        legal = legalize(placement, tech.row_height).placement
+        instance_reads[0] = 0
+        refine_placement(legal)
+        assert instance_reads[0] <= 2
 
 
 class TestRegions:

@@ -5,22 +5,25 @@ recording and returns the in-memory results; ``write_benchmark`` adds
 the on-disk products: the ``BENCH_<scenario>.json`` artifact plus the
 two QoR signoff SVGs next to it (``BENCH_<scenario>.congestion.svg``,
 ``BENCH_<scenario>.slack.svg``) and, with ``profile=True``, the
-cProfile report ``BENCH_<scenario>.profile.txt``.
+cProfile report ``BENCH_<scenario>.profile.txt``.  ``run_job`` is the
+one per-scenario job every executor shares: it scopes the stage cache
+and the live event stream to the job, stamps it on the monotonic
+clock, and reports a crash as a formatted traceback instead of raising.
 
-``run_benchmarks`` drives a whole scenario list, optionally across a
-process pool (``jobs > 1``).  Scenarios are deterministic and fully
-independent, so parallel runs produce byte-identical QoR artifacts —
-only wall times and RSS samples may differ.  Every run also writes
-``BENCH_schedule.json``: per-scenario start/end stamps on the shared
-monotonic clock, which is how a parallel run *demonstrates* overlap
-even on a single-core host (interleaved intervals, not wall-clock
-speedup, are the evidence).
+``run_benchmarks`` drives a whole scenario list.  ``jobs == 1`` runs
+the jobs in-process, one after another; ``jobs > 1`` submits them all
+to a :class:`repro.serve.FlowService`, the repo's one worker pool.
+Scenarios are deterministic and fully independent, so parallel runs
+produce byte-identical QoR artifacts — only wall times and RSS samples
+may differ.  Every run also writes ``BENCH_schedule.json``:
+per-scenario start/end stamps on the shared monotonic clock, which is
+how a parallel run *demonstrates* overlap even on a single-core host
+(interleaved intervals, not wall-clock speedup, are the evidence).
 
 Live observability rides along on request: ``events_path``/``on_event``
 attach a ``repro.obs.events/v1`` stream (heartbeats, span open/close,
-marks) — in parallel runs each worker forwards its events over a
-multiprocessing queue, so the parent's single JSONL file shows
-per-scenario, per-stage progress *while* scenarios overlap;
+marks), every event tagged with its scenario, so the single JSONL file
+shows per-scenario, per-stage progress *while* scenarios overlap;
 ``history_path`` appends one ``repro.obs.history/v1`` record per
 completed scenario; ``perfetto=True`` writes a Chrome trace-event
 export (``BENCH_<scenario>.perfetto``) next to each artifact.
@@ -29,16 +32,12 @@ export (``BENCH_<scenario>.perfetto``) next to each artifact.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import threading
 import time
 import traceback
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.bench.artifact import (
     BenchArtifact,
@@ -48,10 +47,10 @@ from repro.bench.artifact import (
 )
 from repro.bench.scenarios import Scenario, get_scenario
 from repro.bench.svg import render_signoff_visuals
-from repro.cache import activate_cache, caching, get_cache
+from repro.cache import caching, get_cache
 from repro.flows.base import FlowResult
 from repro.obs import FlowTrace, profile_call, recording
-from repro.obs.events import DEFAULT_HEARTBEAT_S, jsonl_writer, streaming
+from repro.obs.events import DEFAULT_HEARTBEAT_S, event_sink, streaming
 from repro.obs.export import chrome_trace_from_flowtrace, write_chrome_trace
 from repro.obs.history import (
     append_history,
@@ -66,25 +65,12 @@ SCHEDULE_FILENAME = "BENCH_schedule.json"
 #: it out of the ``BENCH_*.json`` artifact discovery glob).
 CACHE_STATS_FILENAME = "CACHE_stats.json"
 
-#: Warning issued when ``--jobs`` is requested on a platform without the
-#: fork start method (satisfying the parallel path's fork assumptions:
-#: inherited event queues and runtime-registered scenarios).
-FORK_FALLBACK_MESSAGE = (
-    "parallel bench runs require the 'fork' multiprocessing start method "
-    "(workers inherit the event queue and runtime-registered scenarios); "
-    "this platform only offers spawn-style starts, so scenarios will run "
-    "serially instead"
-)
-
-
-def fork_context() -> Optional[Any]:
-    """The fork multiprocessing context, or None where unavailable."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - defensive
-        return None
+#: What :func:`run_job` returns: (artifact, files written, start stamp,
+#: end stamp, formatted traceback).  The traceback is None on success;
+#: after a crash it is set, the artifact None and the files empty.
+JobResult = Tuple[
+    Optional[BenchArtifact], List[str], float, float, Optional[str]
+]
 
 
 @dataclass
@@ -175,68 +161,52 @@ def write_benchmark(
     return artifact, paths
 
 
-# -- parallel execution ---------------------------------------------------------------
+def run_job(
+    scenario: Union[str, Scenario],
+    out_dir: str,
+    svg: bool = True,
+    profile: bool = False,
+    perfetto: bool = False,
+    cache_dir: Optional[str] = None,
+    write: Optional[Callable[[Dict[str, Any]], None]] = None,
+    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
+) -> JobResult:
+    """Run one scenario (a registered name, or the scenario itself).
 
-#: Worker-side event forwarding state, set by the pool initializer.
-#: Events cross the process boundary as plain dicts on this queue; the
-#: parent's drainer thread serializes them into the one JSONL file.
-_WORKER_EVENT_QUEUE: Optional[Any] = None
-_WORKER_HEARTBEAT_S: float = DEFAULT_HEARTBEAT_S
+    ``cache_dir`` scopes the stage cache to this job; ``write`` (when
+    given) receives the job's live event stream, every event tagged
+    with the scenario name.  Start/end stamps come from the monotonic
+    clock, so stamps taken in forked pool workers compare across them.
 
-
-def _init_worker_events(
-    queue: Any, heartbeat_s: float, cache_dir: Optional[str] = None
-) -> None:
-    """Pool initializer: adopt the parent's event queue (fork-inherited)
-    and, when caching, activate the worker's ambient stage cache."""
-    global _WORKER_EVENT_QUEUE, _WORKER_HEARTBEAT_S
-    _WORKER_EVENT_QUEUE = queue
-    _WORKER_HEARTBEAT_S = heartbeat_s
-    if cache_dir is not None:
-        activate_cache(get_cache(cache_dir))
-
-
-def _bench_worker(
-    name: str, out_dir: str, svg: bool, profile: bool, perfetto: bool = False
-) -> Tuple[
-    str, Optional[BenchArtifact], List[str], float, float, Optional[str]
-]:
-    """Top-level (picklable) pool entry: run one scenario by name.
-
-    Workers are forked, so scenarios registered at runtime via
-    ``register_scenario`` are visible here too.  Start/end stamps come
-    from the shared monotonic clock and are comparable across the pool.
-    When the pool was initialized with an event queue, the whole
-    scenario runs under a live stream whose writer is ``queue.put`` —
-    every event tagged with the scenario name, so the parent's combined
-    stream shows per-scenario, per-stage progress while runs overlap.
-
-    A raising scenario is reported, not raised: the last element is the
-    worker-side formatted traceback (exception objects may not pickle
-    across the process boundary — and a raise here would surface in the
-    parent as an opaque ``future.result()`` error that kills the whole
-    run instead of failing one scenario).
+    A raising scenario is reported, not raised: the result carries the
+    formatted traceback (exception objects may not pickle across a
+    process boundary, and one failing scenario must not end a run).
     """
     start = time.monotonic()
-    queue = _WORKER_EVENT_QUEUE
-    stream_cm = (
-        streaming(
-            queue.put,
-            heartbeat_s=_WORKER_HEARTBEAT_S,
-            base={"scenario": name},
-        )
-        if queue is not None
-        else nullcontext()
-    )
     try:
-        with stream_cm:
+        if isinstance(scenario, str):
+            scenario = get_scenario(scenario)
+        cache_cm = (
+            caching(get_cache(cache_dir))
+            if cache_dir is not None
+            else nullcontext()
+        )
+        stream_cm = (
+            streaming(
+                write, heartbeat_s=heartbeat_s,
+                base={"scenario": scenario.name},
+            )
+            if write is not None
+            else nullcontext()
+        )
+        with cache_cm, stream_cm:
             artifact, paths = write_benchmark(
-                get_scenario(name), out_dir, svg=svg, profile=profile,
+                scenario, out_dir, svg=svg, profile=profile,
                 perfetto=perfetto,
             )
     except Exception:
-        return name, None, [], start, time.monotonic(), traceback.format_exc()
-    return name, artifact, paths, start, time.monotonic(), None
+        return None, [], start, time.monotonic(), traceback.format_exc()
+    return artifact, paths, start, time.monotonic(), None
 
 
 def _schedule_dict(
@@ -287,14 +257,20 @@ def run_benchmarks(
 
     Returns (per-scenario results in input order, the schedule dict,
     the failures); the schedule is also written to
-    ``BENCH_schedule.json`` in ``out_dir``.  ``on_done`` fires as each
-    scenario finishes — in completion order when parallel.
+    ``BENCH_schedule.json`` in ``out_dir``.  ``on_done`` fires once per
+    completed scenario, in submission (input) order — a parallel run
+    waits for each job in turn, so a fast late scenario reports after
+    a slow early one.
+
+    ``jobs > 1`` runs the list through a :class:`repro.serve.FlowService`
+    of ``min(jobs, len(scenarios))`` forked workers (a single serial
+    worker thread, with a ``RuntimeWarning``, where fork is
+    unavailable).
 
     Live observability: when ``events_path`` and/or ``on_event`` is
-    given, every scenario runs under a ``repro.obs.events/v1`` stream —
-    serial runs write/forward inline, parallel runs forward worker
-    events over a queue into the single ``events_path`` file and the
-    ``on_event`` callback (called from the drainer thread).
+    given, every scenario runs under a ``repro.obs.events/v1`` stream
+    that lands in the single ``events_path`` file and the ``on_event``
+    callback (called from the service's drainer thread when parallel).
     ``history_path`` appends one history record per completed scenario
     (stamped with the current git revision); ``perfetto`` adds a Chrome
     trace-event export next to each artifact.
@@ -302,36 +278,34 @@ def run_benchmarks(
     A scenario that raises (or whose artifact overruns the scenario's
     ``wall_budget_s``) lands in the failures list instead of aborting
     the run; its results entry is dropped (budget overruns keep
-    theirs — the artifact is valid, just slow).
+    theirs — the artifact is valid, just slow).  So does every
+    scenario in flight when a pool worker dies.
 
-    ``cache_dir`` activates the content-addressed stage cache for every
-    scenario (serial runs via the scoped context manager, parallel runs
-    via the pool initializer) and writes the run's aggregate cache
-    footprint to ``CACHE_stats.json`` in ``out_dir``.
+    ``cache_dir`` scopes the content-addressed stage cache to every
+    scenario's job and writes the run's aggregate cache footprint to
+    ``CACHE_stats.json`` in ``out_dir``.
     """
     by_name = {scenario.name: scenario for scenario in scenarios}
     artifacts: Dict[str, Tuple[BenchArtifact, List[str]]] = {}
     rows: List[Tuple[str, float, float]] = []
     failures: List[BenchFailure] = []
-    events_enabled = events_path is not None or on_event is not None
     git_rev = git_revision() if history_path is not None else ""
 
-    events_handle = None
-    events_file_write = None
-    if events_path is not None:
-        directory = os.path.dirname(events_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        events_handle = open(events_path, "w", encoding="utf-8")
-        events_file_write = jsonl_writer(events_handle)
-
-    def dispatch_event(event: Dict[str, Any]) -> None:
-        if events_file_write is not None:
-            events_file_write(event)
-        if on_event is not None:
-            on_event(event)
-
-    def finish(name: str, artifact: BenchArtifact, paths: List[str]) -> None:
+    def finish(
+        name: str,
+        artifact: Optional[BenchArtifact],
+        paths: List[str],
+        start: Optional[float],
+        end: Optional[float],
+        formatted: Optional[str],
+    ) -> None:
+        if start is not None:  # None: a dead pool worker never reported
+            rows.append((name, start, end))
+        if formatted:
+            failures.append(BenchFailure(
+                name, formatted.strip().splitlines()[-1], formatted
+            ))
+            return
         artifacts[name] = (artifact, paths)
         scenario = by_name[name]
         budget = scenario.wall_budget_s
@@ -348,115 +322,34 @@ def run_benchmarks(
         if on_done is not None:
             on_done(scenario, artifact, paths)
 
-    def crashed(name: str, formatted: str) -> None:
-        last = formatted.strip().splitlines()[-1] if formatted else "crashed"
-        failures.append(BenchFailure(name, last, formatted))
+    if jobs > 1 and len(scenarios) > 1:
+        # Imported here: repro.serve imports repro.bench, hence this module.
+        from repro.serve.service import FlowService
 
-    parallel = jobs > 1 and len(scenarios) > 1
-    context: Optional[Any] = None
-    if parallel:
-        # The parallel path assumes fork: workers inherit the event queue
-        # and any runtime-registered scenarios.  Without it, degrade to a
-        # serial run loudly rather than spawn workers that silently miss
-        # registrations.
-        context = fork_context()
-        if context is None:
-            warnings.warn(FORK_FALLBACK_MESSAGE, RuntimeWarning, stacklevel=2)
-            parallel = False
-    try:
-        if not parallel:
-            cache_cm = (
-                caching(get_cache(cache_dir))
-                if cache_dir is not None
-                else nullcontext()
-            )
-            with cache_cm:
-                for scenario in scenarios:
-                    stream_cm = (
-                        streaming(
-                            dispatch_event,
-                            heartbeat_s=heartbeat_s,
-                            base={"scenario": scenario.name},
-                        )
-                        if events_enabled
-                        else nullcontext()
-                    )
-                    start = time.monotonic()
-                    try:
-                        with stream_cm:
-                            artifact, paths = write_benchmark(
-                                scenario, out_dir, svg=svg, profile=profile,
-                                perfetto=perfetto,
-                            )
-                    except Exception:
-                        rows.append((scenario.name, start, time.monotonic()))
-                        crashed(scenario.name, traceback.format_exc())
-                        continue
-                    rows.append((scenario.name, start, time.monotonic()))
-                    finish(scenario.name, artifact, paths)
-        else:
-            queue = context.Queue() if events_enabled else None
-            drainer: Optional[threading.Thread] = None
-            if queue is not None:
-                # The queue outlives the pool: workers put, this thread
-                # serializes into the one JSONL file until the parent
-                # drops the sentinel after pool shutdown.
-                def drain() -> None:
-                    while True:
-                        event = queue.get()
-                        if event is None:
-                            return
-                        dispatch_event(event)
-
-                drainer = threading.Thread(
-                    target=drain, name="bench-event-drain", daemon=True
+        with FlowService(
+            jobs=min(jobs, len(scenarios)), out_dir=out_dir,
+            cache_dir=cache_dir, svg=svg, profile=profile, perfetto=perfetto,
+            events_path=events_path, on_event=on_event,
+            heartbeat_s=heartbeat_s,
+        ) as service:
+            for job_id in [service.submit(s.name) for s in scenarios]:
+                record = service.wait(job_id)
+                finish(
+                    record.scenario, record.artifact, record.paths,
+                    record.start_s, record.end_s, record.traceback,
                 )
-                drainer.start()
-            pool_kwargs: Dict[str, Any] = {}
-            if queue is not None or cache_dir is not None:
-                # initargs travel through the worker Process constructor,
-                # so the fork-context queue is inherited, not pickled.
-                pool_kwargs = {
-                    "initializer": _init_worker_events,
-                    "initargs": (queue, heartbeat_s, cache_dir),
-                }
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(scenarios)), mp_context=context,
-                **pool_kwargs,
-            ) as pool:
-                submitted = {
-                    pool.submit(
-                        _bench_worker, scenario.name, out_dir, svg, profile,
-                        perfetto,
-                    ): scenario.name
-                    for scenario in scenarios
-                }
-                pending = set(submitted)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        try:
-                            name, artifact, paths, start, end, tb = (
-                                future.result()
-                            )
-                        except Exception:
-                            # The worker process died without reporting
-                            # (OOM-kill, interpreter abort) — the worker-side
-                            # catch never ran, so format parent-side.
-                            crashed(submitted[future], traceback.format_exc())
-                            continue
-                        rows.append((name, start, end))
-                        if tb is not None:
-                            crashed(name, tb)
-                            continue
-                        finish(name, artifact, paths)
-            if queue is not None:
-                queue.put(None)
-                if drainer is not None:
-                    drainer.join()
-    finally:
-        if events_handle is not None:
-            events_handle.close()
+    else:
+        write, handle = event_sink(events_path, on_event)
+        try:
+            for scenario in scenarios:
+                finish(scenario.name, *run_job(
+                    scenario, out_dir, svg=svg, profile=profile,
+                    perfetto=perfetto, cache_dir=cache_dir, write=write,
+                    heartbeat_s=heartbeat_s,
+                ))
+        finally:
+            if handle is not None:
+                handle.close()
     rows.sort(key=lambda row: row[1])
     schedule = _schedule_dict(jobs, rows)
     write_schedule(out_dir, schedule)

@@ -39,7 +39,6 @@ from repro.cache.store import (
     CacheStats,
     DEFAULT_CACHE_DIR,
     StageCache,
-    activate_cache,
     active_cache,
     caching,
     get_cache,
@@ -56,7 +55,6 @@ __all__ = [
     "StageCache",
     "StageChain",
     "UnhashableInputError",
-    "activate_cache",
     "active_cache",
     "caching",
     "canonical_fingerprint",

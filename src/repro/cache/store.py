@@ -300,16 +300,6 @@ def active_cache() -> Optional[StageCache]:
     return _ACTIVE_CACHE
 
 
-def activate_cache(cache: Optional[StageCache]) -> None:
-    """Install (or clear, with None) the ambient cache for this process.
-
-    Used by long-lived workers; interactive callers should prefer the
-    scoped :func:`caching` context manager.
-    """
-    global _ACTIVE_CACHE
-    _ACTIVE_CACHE = cache
-
-
 @contextmanager
 def caching(cache: Optional[StageCache]) -> Iterator[Optional[StageCache]]:
     """Scoped ambient-cache activation (None → no-op block)."""

@@ -366,8 +366,8 @@ def _progress_printer(out=None):
     Progress is no longer printed directly by ``cmd_bench_run`` — it is
     a *view* of the ``repro.obs.events/v1`` stream, so ``--quiet``
     suppresses exactly that stream subscription (drop the callback) and
-    serial/parallel runs share one code path.  Called from the runner's
-    drainer thread in parallel runs, hence the flush per line.
+    serial/parallel runs share one code path.  Called from the flow
+    service's drainer thread in parallel runs, hence the flush per line.
     """
     import sys as _sys
 

@@ -39,7 +39,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, IO, Iterator, Optional, Union
+from typing import Any, Callable, Dict, IO, Iterator, Optional, Tuple, Union
 
 from repro.obs import trace as _trace
 from repro.obs.trace import SpanRecord, _peak_rss_kb
@@ -49,6 +49,14 @@ EVENTS_SCHEMA = "repro.obs.events/v1"
 #: Default heartbeat cadence, seconds.  The acceptance bar is <= 2 s so
 #: a watcher never stares at a silent stream wondering if the run hung.
 DEFAULT_HEARTBEAT_S = 1.0
+
+
+def open_jsonl(path: str) -> IO[str]:
+    """Create (or truncate) an event file, making its directory first."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    return open(path, "w", encoding="utf-8")
 
 
 def jsonl_writer(handle: IO[str]) -> Callable[[Dict[str, Any]], None]:
@@ -65,12 +73,35 @@ def jsonl_writer(handle: IO[str]) -> Callable[[Dict[str, Any]], None]:
     return write
 
 
+def event_sink(
+    path: Optional[str],
+    on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
+) -> Tuple[Optional[Callable[[Dict[str, Any]], None]], Optional[IO[str]]]:
+    """One writer feeding a JSONL file at ``path`` and/or ``on_event``.
+
+    Returns (the writer, the open file handle for the caller to close);
+    either is None when there is nothing to write to.
+    """
+    handle = open_jsonl(path) if path is not None else None
+    sinks = [jsonl_writer(handle)] if handle is not None else []
+    if on_event is not None:
+        sinks.append(on_event)
+    if not sinks:
+        return None, handle
+
+    def write(event: Dict[str, Any]) -> None:
+        for sink in sinks:
+            sink(event)
+
+    return write, handle
+
+
 class EventStream:
     """One live event feed: serializes events and beats a heartbeat.
 
     ``write`` receives each event dict (already stamped with ``t`` and
     the ``base`` fields); the file and queue transports are both just
-    writers, which is how bench workers forward events to the parent.
+    writers, which is how pool workers forward events to the parent.
     All emission goes through one lock, so the heartbeat thread and any
     worker threads interleave whole events, never torn lines.
     """
@@ -201,15 +232,12 @@ def streaming(
 
     ``target`` is either a filesystem path (a JSONL file is created and
     flushed per event) or a writer callable (one dict per event — the
-    bench runner passes a queue ``put`` here).  Nested streams stack
-    like recordings: the previous sink is restored on exit.
+    flow service's pool workers pass a queue ``put`` here).  Nested
+    streams stack like recordings: the previous sink is restored on exit.
     """
     handle: Optional[IO[str]] = None
     if isinstance(target, str):
-        directory = os.path.dirname(target)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        handle = open(target, "w", encoding="utf-8")
+        handle = open_jsonl(target)
         write = jsonl_writer(handle)
     else:
         write = target

@@ -111,6 +111,10 @@ class GlobalRouter:
         # valid for the router's lifetime).
         self._use_h_flat = grid.use_h.ravel()
         self._use_v_flat = grid.use_v.ravel()
+        # Row-major cell id -> (x, y) tables for the maze inner loop.
+        ids = range(grid.nx * grid.ny)
+        self._cell_x = [i // grid.ny for i in ids]
+        self._cell_y = [i % grid.ny for i in ids]
         self._since_refresh = 0
         # Delta-tracked segment index for overflow detection.  The index
         # is append-only: each negotiation round adds one chunk holding
@@ -159,6 +163,11 @@ class GlobalRouter:
         # edge (ex, ey) is id ex*ny+ey.
         self._cost_h_flat = self._cost_h.ravel().tolist()
         self._cost_v_flat = self._cost_v.ravel().tolist()
+        # Maze answers are functions of (a, b) and the cost fields only,
+        # so they are memoized per cost epoch: (a, b) -> (path, expansions).
+        self._maze_memo: Dict[
+            Tuple[GCell, GCell], Tuple[Optional[List[GCell]], int]
+        ] = {}
         self._since_refresh = 0
 
     def _hcost(self, y: int, x0: int, x1: int) -> float:
@@ -285,6 +294,20 @@ class GlobalRouter:
     def _route_edge_maze(self, a: GCell, b: GCell) -> Optional[List[GCell]]:
         if a == b:
             return [a]
+        # A repeated query within one cost epoch replays the memoized
+        # search, its expansion count included.
+        key = (a, b)
+        found = self._maze_memo.get(key)
+        if found is None:
+            found = self._maze_memo[key] = self._maze_search(a, b)
+        path, expansions = found
+        count("maze_expansions", expansions)
+        return None if path is None else list(path)
+
+    def _maze_search(
+        self, a: GCell, b: GCell
+    ) -> Tuple[Optional[List[GCell]], int]:
+        """A* from a to b under the cost fields: (path or None, expansions)."""
         # Hot loop: pure Python over flat lists.  Cells travel as row-
         # major ids (x*ny + y); because y < ny, id order equals (x, y)
         # tuple order, so heap tie-breaking — and therefore expansion
@@ -296,9 +319,13 @@ class GlobalRouter:
         bx_, by_ = b
         b_id = bx_ * ny + by_
         a_id = a[0] * ny + a[1]
-        inf = math.inf
+        # Manhattan distance to b, split per axis: h(x, y) = hx[x] + hy[y].
+        hx = [x - bx_ if x >= bx_ else bx_ - x for x in range(nx)]
+        hy = [y - by_ if y >= by_ else by_ - y for y in range(ny)]
+        xs, ys = self._cell_x, self._cell_y
+        last_x, last_y = nx - 1, ny - 1
         expansions = 0
-        best = [inf] * (nx * ny)
+        best = [math.inf] * (nx * ny)
         best[a_id] = 0.0
         parent = [0] * (nx * ny)
         frontier: List[Tuple[float, float, int]] = [(0.0, 0.0, a_id)]
@@ -312,61 +339,43 @@ class GlobalRouter:
                     cell = parent[cell]
                     ids.append(cell)
                 ids.reverse()
-                count("maze_expansions", expansions)
-                return [divmod(i, ny) for i in ids]
+                return [(xs[i], ys[i]) for i in ids], expansions
             if g > best[cell]:
                 continue
             expansions += 1
             if expansions > limit:
-                count("maze_expansions", expansions)
-                return None
-            cx, cy = divmod(cell, ny)
-            if cx + 1 < nx:
+                return None, expansions
+            cx = xs[cell]
+            cy = ys[cell]
+            if cx < last_x:
                 g2 = g + cost_h[cell]
                 n_id = cell + ny
                 if g2 < best[n_id]:
                     best[n_id] = g2
                     parent[n_id] = cell
-                    nx_ = cx + 1
-                    h = (nx_ - bx_ if nx_ >= bx_ else bx_ - nx_) + (
-                        cy - by_ if cy >= by_ else by_ - cy
-                    )
-                    heappush(frontier, (g2 + h, g2, n_id))
+                    heappush(frontier, (g2 + (hx[cx + 1] + hy[cy]), g2, n_id))
             if cx > 0:
                 n_id = cell - ny
                 g2 = g + cost_h[n_id]
                 if g2 < best[n_id]:
                     best[n_id] = g2
                     parent[n_id] = cell
-                    nx_ = cx - 1
-                    h = (nx_ - bx_ if nx_ >= bx_ else bx_ - nx_) + (
-                        cy - by_ if cy >= by_ else by_ - cy
-                    )
-                    heappush(frontier, (g2 + h, g2, n_id))
-            if cy + 1 < ny:
+                    heappush(frontier, (g2 + (hx[cx - 1] + hy[cy]), g2, n_id))
+            if cy < last_y:
                 g2 = g + cost_v[cell]
                 n_id = cell + 1
                 if g2 < best[n_id]:
                     best[n_id] = g2
                     parent[n_id] = cell
-                    ny_ = cy + 1
-                    h = (cx - bx_ if cx >= bx_ else bx_ - cx) + (
-                        ny_ - by_ if ny_ >= by_ else by_ - ny_
-                    )
-                    heappush(frontier, (g2 + h, g2, n_id))
+                    heappush(frontier, (g2 + (hx[cx] + hy[cy + 1]), g2, n_id))
             if cy > 0:
                 n_id = cell - 1
                 g2 = g + cost_v[n_id]
                 if g2 < best[n_id]:
                     best[n_id] = g2
                     parent[n_id] = cell
-                    ny_ = cy - 1
-                    h = (cx - bx_ if cx >= bx_ else bx_ - cx) + (
-                        ny_ - by_ if ny_ >= by_ else by_ - ny_
-                    )
-                    heappush(frontier, (g2 + h, g2, n_id))
-        count("maze_expansions", expansions)
-        return None
+                    heappush(frontier, (g2 + (hx[cx] + hy[cy - 1]), g2, n_id))
+        return None, expansions
 
     # -- net-level routing ---------------------------------------------------------------
 

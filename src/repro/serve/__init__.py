@@ -1,8 +1,9 @@
 """Persistent flow service (``repro.serve``).
 
-:class:`FlowService` keeps a pool of forked workers warm — flow stack
-imported, tech presets materialized, ambient stage cache activated —
-behind an async FIFO job queue; :func:`run_throughput` measures the
+:class:`FlowService` is the repo's one worker pool: forked workers kept
+warm — flow stack imported, tech presets materialized — behind an async
+FIFO job queue, each job scoped to the stage cache it asks for (``bench
+run --jobs`` runs through it too); :func:`run_throughput` measures the
 cold/warm designs-per-hour split that ``bench serve`` gates.
 """
 
@@ -10,7 +11,6 @@ from repro.serve.service import (
     DONE,
     FAILED,
     QUEUED,
-    RUNNING,
     FlowService,
     JobRecord,
 )
@@ -27,7 +27,6 @@ __all__ = [
     "FlowService",
     "JobRecord",
     "QUEUED",
-    "RUNNING",
     "THROUGHPUT_SCENARIO",
     "ThroughputReport",
     "run_throughput",

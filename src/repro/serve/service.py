@@ -1,42 +1,65 @@
-"""The persistent flow service: a warm worker pool running scenarios.
+"""The flow service: the repo's one worker pool for running scenarios.
 
-``bench run --jobs`` builds a pool, runs one scenario list, and tears
-everything down — every invocation re-pays interpreter start, flow
-imports, tech-preset construction and cache-index reads.
-:class:`FlowService` keeps that pool *alive*: workers are forked once
-with the flow stack imported, the tech presets materialized and the
-ambient stage cache activated, then serve an async FIFO job queue until
-drained.  Combined with ``repro.cache``, a service that has seen a
-scenario once answers the next submission as a chain of cache hits from
-a hot sidecar index — the "designs per hour" regime the bench
-throughput gate measures.
+:class:`FlowService` forks its workers once with the flow stack
+imported and the tech presets materialized, then serves an async FIFO
+job queue until drained.  Every job is :func:`repro.bench.runner.run_job`,
+which scopes the stage cache to the job, so a worker's cache index
+stays hot across jobs while no cache outlives the job that asked for
+it.  Combined with ``repro.cache``, a service that has seen a scenario
+once answers the next submission as a chain of cache hits — the
+"designs per hour" regime the bench throughput gate measures.
+``repro serve`` and ``bench serve`` keep one service alive across many
+submissions; ``bench run --jobs N`` is a client too: it submits its
+scenario list, waits for each job in turn and shuts the service down.
 
-Platforms without the fork start method (see
-:func:`repro.bench.runner.fork_context`) degrade to a single serial
-worker thread: same API, same FIFO semantics, no warm-pool speedup —
-the obs recorder slot is process-global, so one worker thread is the
-safe concurrency there.
+Platforms without the fork start method degrade, with a
+``RuntimeWarning``, to a single serial worker thread: same API, same
+FIFO semantics, no warm-pool speedup — the obs recorder slot is
+process-global, so one worker thread is the safe concurrency there.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+import warnings
+from concurrent.futures import (
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait as wait_futures,
+)
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.bench.runner import (
-    FORK_FALLBACK_MESSAGE,
-    _bench_worker,
-    _init_worker_events,
-    fork_context,
-)
-from repro.obs.events import DEFAULT_HEARTBEAT_S, jsonl_writer
+from repro.bench.runner import JobResult, run_job
+from repro.obs.events import DEFAULT_HEARTBEAT_S, event_sink
 
 #: Job lifecycle states.
-QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
+QUEUED, DONE, FAILED = "queued", "done", "failed"
+
+#: Warning issued when a pool is requested on a platform without the
+#: fork start method (workers must inherit the event queue and any
+#: runtime-registered scenarios).
+FORK_FALLBACK_MESSAGE = (
+    "parallel flow workers require the 'fork' multiprocessing start method "
+    "(workers inherit the event queue and runtime-registered scenarios); "
+    "this platform only offers spawn-style starts, so scenarios will run "
+    "serially instead"
+)
+
+
+def fork_context() -> Optional[Any]:
+    """The fork multiprocessing context, or None where unavailable."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - defensive
+        return None
 
 
 @dataclass
@@ -47,10 +70,21 @@ class JobRecord:
     scenario: str
     state: str = QUEUED
     submitted_unix: float = 0.0
-    wall_s: float = 0.0
+    #: Monotonic start/end stamps, None until a worker reports the job.
+    start_s: Optional[float] = None
+    end_s: Optional[float] = None
     artifact: Optional[Any] = None
     paths: List[str] = field(default_factory=list)
+    #: Last line of ``traceback``: the one-line reason a job failed.
     error: str = ""
+    #: The full formatted traceback of a failed job.
+    traceback: str = ""
+
+    @property
+    def wall_s(self) -> float:
+        if self.start_s is None or self.end_s is None:
+            return 0.0
+        return self.end_s - self.start_s
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -62,14 +96,16 @@ class JobRecord:
         }
 
 
-def _warm_worker(queue: Any, heartbeat_s: float, cache_dir: Optional[str]) -> None:
-    """Pool initializer: event adoption + ambient cache + hot imports.
+#: A pool worker's fork-inherited event queue, set by its initializer.
+#: Events cross the process boundary as plain dicts on it; the parent's
+#: drainer thread hands them to the service's event sink.
+_WORKER_QUEUE: Optional[Any] = None
 
-    Importing the whole flow stack and materializing both tech presets
-    here is what makes the pool *warm* — jobs start at the algorithm,
-    not at module import.
-    """
-    _init_worker_events(queue, heartbeat_s, cache_dir)
+
+def _warm_imports() -> None:
+    """Import the whole flow stack and materialize both tech presets —
+    what makes a worker *warm*: jobs start at the algorithm, not at
+    module import."""
     import repro.core.macro3d  # noqa: F401
     import repro.flows.compact2d  # noqa: F401
     import repro.flows.flow2d  # noqa: F401
@@ -80,14 +116,29 @@ def _warm_worker(queue: Any, heartbeat_s: float, cache_dir: Optional[str]) -> No
     hk28_macro_die()
 
 
+def _warm_worker(queue: Optional[Any]) -> None:
+    """Pool initializer: adopt the event queue, then warm up."""
+    global _WORKER_QUEUE
+    _WORKER_QUEUE = queue
+    _warm_imports()
+
+
+def _pool_job(scenario: str, **kwargs: Any) -> JobResult:
+    """Pool entry: one job, its events forwarded over the worker queue."""
+    write = _WORKER_QUEUE.put if _WORKER_QUEUE is not None else None
+    return run_job(scenario, write=write, **kwargs)
+
+
 class FlowService:
     """A persistent pool of warm flow workers with a FIFO job queue.
 
     Jobs are submitted asynchronously by scenario name and executed in
     submission order as workers free up; results (bench artifacts and
-    any files written) land on the :class:`JobRecord`.  Use as a context
-    manager, or call :meth:`shutdown` explicitly; :meth:`drain` blocks
-    until the queue is empty without killing the workers.
+    any files written) land on the :class:`JobRecord`.  A job that
+    raises, or whose worker dies, ends ``FAILED`` — the service itself
+    never raises for it.  Use as a context manager, or call
+    :meth:`shutdown` explicitly; :meth:`drain` blocks until the queue
+    is empty without killing the workers.
     """
 
     def __init__(
@@ -100,37 +151,29 @@ class FlowService:
         events_path: Optional[str] = None,
         on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
+        profile: bool = False,
     ):
         self.out_dir = out_dir
         self.cache_dir = cache_dir
-        self._svg = svg
-        self._perfetto = perfetto
+        self._job_kwargs: Dict[str, Any] = {
+            "out_dir": out_dir, "svg": svg, "profile": profile,
+            "perfetto": perfetto, "cache_dir": cache_dir,
+            "heartbeat_s": heartbeat_s,
+        }
         self._jobs: Dict[int, JobRecord] = {}
         self._futures: Dict[int, Future] = {}
         self._next_id = 1
         self._lock = threading.Lock()
         self._closed = False
-
-        events_enabled = events_path is not None or on_event is not None
-        self._events_handle = None
+        dispatch, self._events_handle = event_sink(events_path, on_event)
         self._event_queue: Optional[Any] = None
         self._drainer: Optional[threading.Thread] = None
-        dispatchers: List[Callable[[Dict[str, Any]], None]] = []
-        if events_path is not None:
-            self._events_handle = open(events_path, "w", encoding="utf-8")
-            dispatchers.append(jsonl_writer(self._events_handle))
-        if on_event is not None:
-            dispatchers.append(on_event)
-
-        def dispatch(event: Dict[str, Any]) -> None:
-            for sink in dispatchers:
-                sink(event)
 
         context = fork_context()
         if context is not None:
             self.mode = "fork-pool"
             self.workers = max(1, jobs)
-            if events_enabled:
+            if dispatch is not None:
                 self._event_queue = context.Queue()
 
                 def drain() -> None:
@@ -144,91 +187,111 @@ class FlowService:
                     target=drain, name="serve-event-drain", daemon=True
                 )
                 self._drainer.start()
+            # initargs travel through the worker Process constructor, so
+            # the fork-context queue is inherited, not pickled.
             self._pool: Any = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=context,
                 initializer=_warm_worker,
-                initargs=(self._event_queue, heartbeat_s, cache_dir),
+                initargs=(self._event_queue,),
             )
+            self._run: Callable[..., JobResult] = _pool_job
         else:
             # No fork: same API on one serial worker thread (the obs
             # recorder slot is process-global — one thread is the safe
             # concurrency).  The warmup runs in-thread on first use.
+            warnings.warn(FORK_FALLBACK_MESSAGE, RuntimeWarning, stacklevel=2)
             self.mode = "serial-thread"
             self.workers = 1
             self.fallback_reason = FORK_FALLBACK_MESSAGE
             self._pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="serve-worker"
             )
-            shim = _QueueShim(dispatch) if events_enabled else None
-            self._pool.submit(_warm_worker, shim, heartbeat_s, cache_dir)
+            self._pool.submit(_warm_imports)
+            self._job_kwargs["write"] = dispatch
+            self._run = run_job
 
     # -- submission ----------------------------------------------------------------
 
     def submit(self, scenario: str) -> int:
-        """Enqueue one scenario; returns its job id immediately."""
+        """Enqueue one scenario; returns its job id immediately.
+
+        On a broken pool (a worker died) the job is recorded ``FAILED``
+        at once, its error naming the broken pool.
+        """
         with self._lock:
             if self._closed:
                 raise RuntimeError("FlowService is shut down")
             job_id = self._next_id
             self._next_id += 1
-            record = JobRecord(
+            self._jobs[job_id] = JobRecord(
                 job_id=job_id, scenario=scenario,
                 submitted_unix=time.time(),
             )
-            self._jobs[job_id] = record
-            future = self._pool.submit(
-                _bench_worker, scenario, self.out_dir, self._svg, False,
-                self._perfetto,
-            )
+            try:
+                future = self._pool.submit(
+                    self._run, scenario, **self._job_kwargs
+                )
+            except BrokenExecutor as exc:
+                future = Future()
+                future.set_exception(exc)
             self._futures[job_id] = future
-        future.add_done_callback(lambda f, jid=job_id: self._finish(jid, f))
         return job_id
 
-    def _finish(self, job_id: int, future: Future) -> None:
-        record = self._jobs[job_id]
-        try:
-            name, artifact, paths, start, end, tb = future.result()
-        except Exception:
-            record.state = FAILED
-            record.error = traceback.format_exc().strip().splitlines()[-1]
-            return
-        record.wall_s = end - start
-        if tb is not None:
-            record.state = FAILED
-            record.error = tb.strip().splitlines()[-1]
-            return
-        record.state = DONE
-        record.artifact = artifact
-        record.paths = paths
+    def _settle(self, job_id: int) -> JobRecord:
+        """Copy a finished job's outcome onto its record (once).
+
+        Runs in the inspecting thread, not as a done-callback: a waiter
+        can wake before a future's callbacks have run, so a callback
+        could hand ``wait`` a record that is not yet filled in.
+        """
+        with self._lock:
+            record = self._jobs[job_id]
+            future = self._futures[job_id]
+            if record.state != QUEUED or not future.done():
+                return record
+            try:
+                artifact, paths, record.start_s, record.end_s, formatted = (
+                    future.result()
+                )
+            except Exception:
+                # The worker never reported (it died, or the pool was
+                # already broken): format the pool's error parent-side.
+                artifact, paths, formatted = None, [], traceback.format_exc()
+            if formatted:
+                record.state = FAILED
+                record.traceback = formatted
+                record.error = formatted.strip().splitlines()[-1]
+            else:
+                record.state = DONE
+                record.artifact = artifact
+                record.paths = paths
+            return record
 
     # -- inspection ----------------------------------------------------------------
 
     def job(self, job_id: int) -> JobRecord:
-        return self._jobs[job_id]
+        return self._settle(job_id)
 
     @property
     def records(self) -> List[JobRecord]:
-        return [self._jobs[jid] for jid in sorted(self._jobs)]
+        return [self._settle(jid) for jid in sorted(self._jobs)]
 
     # -- lifecycle -----------------------------------------------------------------
 
     def wait(self, job_id: int, timeout: Optional[float] = None) -> JobRecord:
-        """Block until one job finishes; returns its record."""
-        self._futures[job_id].result(timeout=timeout)
-        return self._jobs[job_id]
+        """Block until one job finishes; returns its record (``FAILED``
+        when the job raised or its worker died)."""
+        done, _pending = wait_futures([self._futures[job_id]], timeout=timeout)
+        if not done:
+            raise TimeoutError(f"job {job_id} still running after {timeout} s")
+        return self._settle(job_id)
 
     def drain(self, timeout: Optional[float] = None) -> List[JobRecord]:
         """Graceful drain: wait for every queued job, keep workers warm."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for job_id in sorted(self._futures):
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            try:
-                self._futures[job_id].result(timeout=remaining)
-            except Exception:
-                pass  # recorded on the JobRecord by _finish
+        with self._lock:
+            pending = list(self._futures.values())
+        wait_futures(pending, timeout=timeout)
         return self.records
 
     def shutdown(self, wait: bool = True) -> None:
@@ -240,8 +303,7 @@ class FlowService:
         self._pool.shutdown(wait=wait)
         if self._event_queue is not None:
             self._event_queue.put(None)
-            if self._drainer is not None:
-                self._drainer.join()
+            self._drainer.join()
         if self._events_handle is not None:
             self._events_handle.close()
 
@@ -250,11 +312,3 @@ class FlowService:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.shutdown(wait=True)
-
-
-class _QueueShim:
-    """Adapts the in-process event dispatcher to the queue interface the
-    worker-side streaming writer expects (``.put``)."""
-
-    def __init__(self, dispatch: Callable[[Dict[str, Any]], None]):
-        self.put = dispatch

@@ -29,7 +29,6 @@ from repro.bench import (
     scenarios_overlapped,
     unregister_scenario,
 )
-from repro.bench.runner import FORK_FALLBACK_MESSAGE, fork_context
 from repro.bench.scenarios import FLOW_RUNNERS
 from repro.cache import (
     CacheError,
@@ -50,6 +49,7 @@ from repro.geom import Point
 from repro.netlist.index import shared_geometry
 from repro.netlist.openpiton import small_cache_config
 from repro.obs import FlowTrace, count, observe, recording
+from repro.serve.service import FORK_FALLBACK_MESSAGE, fork_context
 from tests.conftest import build_mini_netlist
 
 
@@ -389,7 +389,7 @@ class TestSpawnFallback:
     @pytest.fixture()
     def spawn_only(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.bench.runner.multiprocessing.get_all_start_methods",
+            "repro.serve.service.multiprocessing.get_all_start_methods",
             lambda: ["spawn"],
         )
         monkeypatch.setitem(FLOW_RUNNERS, "boomfb", _boom_flow)

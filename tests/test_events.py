@@ -19,6 +19,7 @@ import json
 import threading
 import time
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import pytest
 
@@ -477,6 +478,25 @@ TINY2 = Scenario(
 )
 
 
+@pytest.fixture(scope="module")
+def serial_runs(tmp_path_factory):
+    """One quiet and one loud serial run of TINY, shared by the tests
+    that read them: the loud one streams to a file and a callback at a
+    fast heartbeat and writes history and a perfetto export; the quiet
+    one has no observability at all.  (Serial runs take the scenario
+    object itself, so nothing needs registering.)"""
+    root = tmp_path_factory.mktemp("serial_runs")
+    quiet = run_benchmarks([TINY], str(root / "quiet"), svg=False)
+    seen = []
+    loud = run_benchmarks(
+        [TINY], str(root / "out"), svg=False,
+        events_path=str(root / "events.jsonl"), on_event=seen.append,
+        history_path=str(root / "history.jsonl"), perfetto=True,
+        heartbeat_s=0.05,
+    )
+    return SimpleNamespace(root=root, quiet=quiet, loud=loud, seen=seen)
+
+
 @pytest.fixture()
 def tiny_scenarios():
     register_scenario(TINY)
@@ -490,17 +510,14 @@ def tiny_scenarios():
 
 class TestRunnerIntegration:
     def test_serial_run_streams_events_and_appends_history(
-        self, tiny_scenarios, tmp_path
+        self, serial_runs
     ):
+        tmp_path = serial_runs.root
         out = str(tmp_path / "out")
         events_path = str(tmp_path / "events.jsonl")
         history_path = str(tmp_path / "history.jsonl")
-        seen = []
-        results, _schedule, failures = run_benchmarks(
-            tiny_scenarios[:1], out, svg=False,
-            events_path=events_path, on_event=seen.append,
-            history_path=history_path, perfetto=True,
-        )
+        seen = serial_runs.seen
+        results, _schedule, failures = serial_runs.loud
         assert not failures and len(results) == 1
         events = read_events(events_path)
         assert is_event_stream(events)
@@ -554,20 +571,12 @@ class TestRunnerIntegration:
                 if e["ph"] in ("B", "E")}
         assert len(pids) == 2
 
-    def test_qor_identical_with_events_on_and_off(
-        self, tiny_scenarios, tmp_path
-    ):
+    def test_qor_identical_with_events_on_and_off(self, serial_runs):
         """Acceptance: streaming must not perturb QoR byte-for-byte."""
-        quiet_out = str(tmp_path / "quiet")
-        loud_out = str(tmp_path / "loud")
-        run_benchmarks(tiny_scenarios[:1], quiet_out, svg=False)
-        run_benchmarks(
-            tiny_scenarios[:1], loud_out, svg=False,
-            events_path=str(tmp_path / "ev.jsonl"), heartbeat_s=0.05,
-        )
+        tmp_path = serial_runs.root
         name = f"BENCH_{TINY.name}.json"
         quiet = load_artifact(str(tmp_path / "quiet" / name))
-        loud = load_artifact(str(tmp_path / "loud" / name))
+        loud = load_artifact(str(tmp_path / "out" / name))
         assert qor_json(quiet) == qor_json(loud)
 
 

@@ -3,7 +3,9 @@
 The service API (FIFO submission, job records, drain/shutdown, the
 spawn-platform serial fallback) runs against one real tiny scenario —
 cold then warm through the same live service, which is the whole point
-of keeping workers alive.  The throughput half is covered twice: a
+of keeping workers alive.  A flow that kills its fork worker checks
+that a dead worker fails its jobs instead of raising out of the service
+or out of ``run_benchmarks``.  The throughput half is covered twice: a
 real ``run_throughput`` over the warm service, and synthetic
 history-record tests proving the designs/hour metric round-trips and
 is picked up by the ``bench compare --trend`` gate.
@@ -17,14 +19,17 @@ import pytest
 from repro.bench import (
     Scenario,
     register_scenario,
+    run_benchmarks,
     unregister_scenario,
 )
 from repro.bench.artifact import qor_json
+from repro.bench.scenarios import FLOW_RUNNERS
 from repro.bench.baseline import (
     DEFAULT_SPECS,
     trend_deltas,
     worst_status,
 )
+from repro.cache import active_cache
 from repro.obs.history import (
     HistoryRecord,
     append_history,
@@ -40,6 +45,7 @@ from repro.serve import (
     run_throughput,
     throughput_record,
 )
+from repro.serve.service import fork_context
 
 TINY = Scenario(
     name="2d-smallcache-servetest",
@@ -60,8 +66,11 @@ def tiny_registered():
 
 @pytest.fixture()
 def serial_service(monkeypatch):
-    """Force the spawn-platform path: one warm worker thread."""
+    """Force the spawn-platform path: one warm worker thread, which the
+    service announces with a RuntimeWarning."""
     monkeypatch.setattr("repro.serve.service.fork_context", lambda: None)
+    with pytest.warns(RuntimeWarning, match="serially"):
+        yield
 
 
 class TestFlowServiceSerial:
@@ -69,7 +78,8 @@ class TestFlowServiceSerial:
         self, serial_service, tiny_registered, tmp_path
     ):
         out = tmp_path / "out"
-        events = tmp_path / "serve.events.jsonl"
+        # The service creates the events file's missing parent directory.
+        events = tmp_path / "events" / "serve.events.jsonl"
         with FlowService(
             jobs=4,
             out_dir=str(out),
@@ -85,6 +95,8 @@ class TestFlowServiceSerial:
             cold = service.wait(first)
             warm = service.wait(second)
             records = service.drain()
+        # The stage cache is scoped per job: nothing stays installed.
+        assert active_cache() is None
         assert [r.job_id for r in records] == [1, 2]
         assert cold.state == DONE and warm.state == DONE
         assert cold.error == "" and warm.error == ""
@@ -128,6 +140,60 @@ class TestFlowServiceSerial:
         assert data["job_id"] == job_id
         assert data["scenario"] == "missing"
         assert data["state"] == FAILED
+
+
+def _dead_flow(config, scale, options):
+    os._exit(3)
+
+
+class TestWorkerDeath:
+    """A worker that dies mid-job fails its jobs; the service survives."""
+
+    DEAD = [
+        Scenario(name=f"dead{i}-smallcache-deathtest", flow="dead",
+                 config="smallcache", size="deathtest", scale=0.01,
+                 sizing_iterations=1)
+        for i in (1, 2)
+    ]
+
+    @pytest.fixture()
+    def dead_registered(self, monkeypatch):
+        if fork_context() is None:
+            pytest.skip("worker death needs the fork start method")
+        monkeypatch.setitem(FLOW_RUNNERS, "dead", _dead_flow)
+        for scenario in self.DEAD:
+            register_scenario(scenario)
+        yield self.DEAD
+        for scenario in self.DEAD:
+            unregister_scenario(scenario.name)
+
+    def test_wait_and_later_submit_fail_instead_of_raising(
+        self, dead_registered, tmp_path
+    ):
+        with FlowService(jobs=1, out_dir=str(tmp_path / "out")) as service:
+            died = service.wait(
+                service.submit(dead_registered[0].name), timeout=60
+            )
+            later = service.wait(
+                service.submit(dead_registered[1].name), timeout=60
+            )
+        for record in (died, later):
+            assert record.state == FAILED
+            assert "BrokenProcessPool" in record.error
+            assert record.artifact is None and record.start_s is None
+
+    def test_run_benchmarks_fails_every_in_flight_scenario(
+        self, dead_registered, tmp_path
+    ):
+        results, schedule, failures = run_benchmarks(
+            dead_registered, str(tmp_path), svg=False, jobs=2
+        )
+        assert results == []
+        assert [f.scenario for f in failures] == [
+            s.name for s in dead_registered
+        ]
+        assert all("BrokenProcessPool" in f.traceback for f in failures)
+        assert schedule["scenarios"] == []
 
 
 class TestRunThroughput:

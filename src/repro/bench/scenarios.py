@@ -5,13 +5,17 @@ A scenario pins one flow × one cache configuration × one size, so a
 grid spans the paper's experimental space:
 
 - **flows** — the 2D reference and the three 3D methodologies (S2D,
-  C2D, Macro-3D) of Tables I/II;
+  C2D, Macro-3D) of Tables I/II, plus the two variants the paper's
+  tables add: the balanced-floorplan S2D (``bf_s2d``, Table I) and
+  Macro-3D on a 4-metal macro die (``macro3d_m4``, Table III);
 - **configs** — the small-cache and large-cache OpenPiton tiles;
 - **sizes** — ``small`` (CI smoke: tiny statistical scale, few sizing
-  iterations), ``medium`` (closer to the paper's operating point) and
-  a single hand-registered ``large`` scenario near the paper's actual
-  ~190k-instance tile, gated by a wall-time budget rather than a QoR
-  baseline.
+  iterations), ``medium`` (closer to the paper's operating point),
+  ``paper`` (the design point of the Tables I–III / Fig. 4–6 checks in
+  ``tests/test_paper.py``: scale 0.04 at the ``FlowOptions`` default of
+  25 sizing iterations) and a single hand-registered ``large`` scenario
+  near the paper's actual ~190k-instance tile, gated by a wall-time
+  budget rather than a QoR baseline.
 
 Scenario names are stable identifiers (``macro3d-largecache-small``);
 renaming one orphans its baseline, so don't.
@@ -32,12 +36,26 @@ from repro.netlist.openpiton import (
     large_cache_config,
     small_cache_config,
 )
+from repro.tech.presets import hk28_macro_die
+
+
+def run_flow_bf_s2d(config: TileConfig, **kwargs) -> FlowResult:
+    """S2D on the balanced floorplan (BF S2D, Table I)."""
+    return run_flow_s2d(config, balanced=True, **kwargs)
+
+
+def run_flow_macro3d_m4(config: TileConfig, **kwargs) -> FlowResult:
+    """Macro-3D with a 4-metal macro die (M6-M4, Table III)."""
+    return run_flow_macro3d(config, macro_tech=hk28_macro_die(4), **kwargs)
+
 
 FLOW_RUNNERS: Dict[str, Callable[..., FlowResult]] = {
     "2d": run_flow_2d,
     "s2d": run_flow_s2d,
+    "bf_s2d": run_flow_bf_s2d,
     "c2d": run_flow_c2d,
     "macro3d": run_flow_macro3d,
+    "macro3d_m4": run_flow_macro3d_m4,
 }
 
 CONFIGS: Dict[str, Callable[[], TileConfig]] = {
@@ -51,6 +69,7 @@ CONFIGS: Dict[str, Callable[[], TileConfig]] = {
 SIZES: Dict[str, tuple] = {
     "small": (0.015, 3),
     "medium": (0.03, 8),
+    "paper": (0.04, 25),
 }
 
 #: Size labels accepted by ``all_scenarios`` beyond the grid tiers.

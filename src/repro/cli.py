@@ -1,7 +1,8 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-Runs the case-study flows and prints paper-style tables without writing
-any Python — the interface a downstream user reaches for first.
+Runs the case-study flows, the benchmark scenarios and the flow service
+without writing any Python — the interface a downstream user reaches
+for first.
 
 Commands::
 
@@ -11,15 +12,14 @@ Commands::
     python -m repro run --flow macro3d --events-out run.events.jsonl
     python -m repro run --flow macro3d --cache
     python -m repro run --flow macro3d --cache-dir /tmp/repro-cache
-    python -m repro compare --config small --scale 0.03
-    python -m repro table3 --config large
-    python -m repro floorplans --config small
+    python -m repro run --flow macro3d_m4 --config large
     python -m repro trace run.json
     python -m repro trace run.json --chrome run.perfetto
     python -m repro trace run.events.jsonl --chrome run.perfetto
     python -m repro dash --history benchmarks/history.jsonl --out dash.html
     python -m repro bench list
     python -m repro bench run --all --out bench_out/
+    python -m repro bench run --all --size paper --out paper_out/
     python -m repro bench run --all --jobs 2 --profile
     python -m repro bench run --all --events-out bench.events.jsonl \\
         --history benchmarks/history.jsonl --perfetto
@@ -42,38 +42,17 @@ import sys
 from typing import List, Optional
 
 from repro.bench.baseline import DEFAULT_BASELINE_DIR
-from repro.core.macro3d import run_flow_macro3d
-from repro.flows.base import FlowOptions, FlowResult
-from repro.flows.compact2d import run_flow_c2d
-from repro.flows.flow2d import run_flow_2d
-from repro.flows.shrunk2d import run_flow_s2d
-from repro.io.def_io import write_floorplan_map
-from repro.metrics.report import format_table
+from repro.bench.scenarios import CONFIGS, FLOW_RUNNERS, SIZES
+from repro.flows.base import FlowResult
+from repro.netlist.openpiton import TileConfig
 from repro.obs import FlowTrace, format_trace, load_trace, recording
 from repro.obs.events import DEFAULT_HEARTBEAT_S
 from repro.obs.history import DEFAULT_HISTORY_PATH
-from repro.netlist.openpiton import (
-    TileConfig,
-    build_tile,
-    large_cache_config,
-    small_cache_config,
-)
-from repro.tech.presets import hk28_macro_die
-
-_FLOWS = {
-    "2d": run_flow_2d,
-    "s2d": run_flow_s2d,
-    "c2d": run_flow_c2d,
-    "macro3d": run_flow_macro3d,
-}
 
 
 def _config(name: str) -> TileConfig:
-    if name == "small":
-        return small_cache_config()
-    if name == "large":
-        return large_cache_config()
-    raise SystemExit(f"unknown config {name!r} (small|large)")
+    """The ``--config small|large`` tile (a ``CONFIGS`` entry)."""
+    return CONFIGS[f"{name}cache"]()
 
 
 def _print_result(result: FlowResult) -> None:
@@ -109,18 +88,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.obs import profile_call
     from repro.obs.events import streaming
 
-    runner = _FLOWS[args.flow]
-    kwargs = {}
-    if args.flow == "s2d" and args.balanced:
-        kwargs["balanced"] = True
-    if args.flow == "macro3d" and args.macro_metals != 6:
-        kwargs["macro_tech"] = hk28_macro_die(args.macro_metals)
+    runner = FLOW_RUNNERS[args.flow]
 
     def execute() -> FlowResult:
         with _cache_context(args):
             if args.profile:
                 result, report = profile_call(
-                    runner, _config(args.config), scale=args.scale, **kwargs
+                    runner, _config(args.config), scale=args.scale
                 )
                 profile_out = (args.trace_out or "run") + ".profile.txt"
                 with open(profile_out, "w", encoding="utf-8") as handle:
@@ -131,7 +105,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 # the user has to guess.
                 print(f"profile written to {profile_out}", flush=True)
                 return result
-            return runner(_config(args.config), scale=args.scale, **kwargs)
+            return runner(_config(args.config), scale=args.scale)
 
     if args.trace_out or args.events_out:
         # Span events only stream while a recorder is live, so
@@ -219,58 +193,6 @@ def cmd_dash(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config(args.config)
-    results = [
-        run_flow_2d(config, scale=args.scale),
-        run_flow_s2d(config, scale=args.scale),
-        run_flow_s2d(config, scale=args.scale, balanced=True),
-        run_flow_macro3d(config, scale=args.scale),
-    ]
-    print(
-        format_table(
-            f"Flow comparison — {config.name} (cf. paper Table I)",
-            [r.summary for r in results],
-            rows=["fclk [MHz]", "Emean [fJ/cycle]", "Afootprint [mm2]",
-                  "F2F bumps"],
-            baseline="2D",
-        )
-    )
-    return 0
-
-
-def cmd_table3(args: argparse.Namespace) -> int:
-    config = _config(args.config)
-    full = run_flow_macro3d(config, scale=args.scale)
-    thin = run_flow_macro3d(
-        config, scale=args.scale, macro_tech=hk28_macro_die(4)
-    )
-    print(
-        format_table(
-            f"Heterogeneous BEOL — {config.name} (cf. paper Table III)",
-            [full.summary, thin.summary],
-            rows=["fclk [MHz]", "Emean [fJ/cycle]", "Ametal [mm2]",
-                  "F2F bumps"],
-            baseline=full.summary.flow,
-        )
-    )
-    return 0
-
-
-def cmd_floorplans(args: argparse.Namespace) -> int:
-    from repro.floorplan.macro_placer import place_macros_2d, place_macros_mol
-    tile = build_tile(_config(args.config), scale=args.scale)
-    fp2d = place_macros_2d(tile)
-    macro_fp, logic_fp = place_macros_mol(tile)
-    print(f"2D floorplan ({fp2d.outline.width:.0f} um):")
-    print(write_floorplan_map(fp2d))
-    print(f"MoL macro die ({macro_fp.outline.width:.0f} um):")
-    print(write_floorplan_map(macro_fp))
-    print("MoL logic die:")
-    print(write_floorplan_map(logic_fp))
-    return 0
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run flow(s) and gate on the signoff DRC report (exit 1 if dirty)."""
     import os
@@ -286,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             scenario = get_scenario(name)
             targets.append((name, scenario.run))
     else:
-        runner = _FLOWS[args.flow]
+        runner = FLOW_RUNNERS[args.flow]
         config = _config(args.config)
 
         def run_adhoc() -> FlowResult:
@@ -349,12 +271,12 @@ def _bench_scenarios(args: argparse.Namespace) -> List["Scenario"]:
 def cmd_bench_list(args: argparse.Namespace) -> int:
     from repro.bench import all_scenarios
 
-    print(f"{'scenario':<28s} {'flow':<8s} {'config':<11s} "
+    print(f"{'scenario':<28s} {'flow':<10s} {'config':<11s} "
           f"{'size':<7s} {'scale':>6s} {'sizing':>6s} {'budget':>8s}")
     for s in all_scenarios():
         budget = (f"{s.wall_budget_s:7.0f}s" if s.wall_budget_s is not None
                   else "       -")
-        print(f"{s.name:<28s} {s.flow:<8s} {s.config:<11s} "
+        print(f"{s.name:<28s} {s.flow:<10s} {s.config:<11s} "
               f"{s.size:<7s} {s.scale:>6g} {s.sizing_iterations:>6d} "
               f"{budget}")
     return 0
@@ -787,11 +709,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stage-cache root; implies --cache")
 
     run_p = sub.add_parser("run", help="run one flow and print its summary")
-    run_p.add_argument("--flow", default="macro3d", choices=sorted(_FLOWS))
-    run_p.add_argument("--balanced", action="store_true",
-                       help="use the balanced (BF) floorplan with s2d")
-    run_p.add_argument("--macro-metals", type=int, default=6,
-                       help="macro-die metal layers for macro3d (6 or 4)")
+    run_p.add_argument("--flow", default="macro3d",
+                       choices=sorted(FLOW_RUNNERS),
+                       help="bf_s2d is S2D on the balanced floorplan; "
+                            "macro3d_m4 is Macro-3D on a 4-metal macro die")
     run_p.add_argument("--trace-out", metavar="PATH", default=None,
                        help="record a FlowTrace of the run to this JSON file")
     run_p.add_argument("--events-out", metavar="PATH", default=None,
@@ -808,25 +729,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(run_p)
     run_p.set_defaults(handler=cmd_run)
 
-    cmp_p = sub.add_parser("compare", help="Table-I style flow comparison")
-    common(cmp_p)
-    cmp_p.set_defaults(handler=cmd_compare)
-
-    t3_p = sub.add_parser("table3", help="heterogeneous-BEOL ablation")
-    common(t3_p)
-    t3_p.set_defaults(handler=cmd_table3)
-
-    fp_p = sub.add_parser("floorplans", help="print the Fig. 4 floorplans")
-    common(fp_p)
-    fp_p.set_defaults(handler=cmd_floorplans)
-
     ver_p = sub.add_parser(
         "verify", help="run flow(s) and gate on signoff DRC (exit 1 if dirty)"
     )
     ver_p.add_argument("--scenario", action="append", metavar="NAME",
                        help="verify a named bench scenario (repeatable); "
                             "overrides --flow/--config/--scale")
-    ver_p.add_argument("--flow", default="macro3d", choices=sorted(_FLOWS))
+    ver_p.add_argument("--flow", default="macro3d",
+                       choices=sorted(FLOW_RUNNERS))
     ver_p.add_argument("--limit", type=int, default=10,
                        help="violation detail lines to print (default: 10)")
     ver_p.add_argument("--out", default="verify_out",
@@ -921,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     br_p.add_argument("--scenario", action="append", metavar="NAME",
                       help="run one named scenario (repeatable)")
     br_p.add_argument("--size", default="small",
-                      choices=["small", "medium", "all"],
+                      choices=[*SIZES, "all"],
                       help="size tier selected by --all (default: small)")
     br_p.add_argument("--out", default="bench_out",
                       help="output directory (default: bench_out)")
@@ -965,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     bs_p.add_argument("--scenario", action="append", metavar="NAME",
                       help="serve one named scenario (repeatable)")
     bs_p.add_argument("--size", default="small",
-                      choices=["small", "medium", "all"],
+                      choices=[*SIZES, "all"],
                       help="size tier selected by --all (default: small)")
     bs_p.add_argument("--jobs", type=int, default=2, metavar="N",
                       help="warm worker-pool width (default: 2)")

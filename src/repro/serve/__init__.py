@@ -1,10 +1,10 @@
 """Persistent flow service (``repro.serve``).
 
 :class:`FlowService` is the repo's one worker pool: forked workers kept
-warm — flow stack imported, tech presets materialized — behind an async
-FIFO job queue, each job scoped to the stage cache it asks for (``bench
-run --jobs`` runs through it too); :func:`run_throughput` measures the
-cold/warm designs-per-hour split that ``bench serve`` gates.
+warm — flow stack imported — behind an async FIFO job queue, each job
+scoped to the stage cache it asks for (``bench run --jobs`` runs
+through it too); :func:`run_throughput` measures the cold/warm
+designs-per-hour split that ``bench serve`` gates.
 """
 
 from repro.serve.service import (

@@ -1,11 +1,10 @@
 """The flow service: the repo's one worker pool for running scenarios.
 
 :class:`FlowService` forks its workers once with the flow stack
-imported and the tech presets materialized, then serves an async FIFO
-job queue until drained.  Every job is :func:`repro.bench.runner.run_job`,
-which scopes the stage cache to the job, so a worker's cache index
-stays hot across jobs while no cache outlives the job that asked for
-it.  Combined with ``repro.cache``, a service that has seen a scenario
+imported, then serves an async FIFO job queue until drained.  Every
+job is :func:`repro.bench.runner.run_job`, which scopes the stage cache
+to the job, so a worker's cache index stays hot across jobs while no
+cache outlives the job that asked for it.  Combined with ``repro.cache``, a service that has seen a scenario
 once answers the next submission as a chain of cache hits — the
 "designs per hour" regime the bench throughput gate measures.
 ``repro serve`` and ``bench serve`` keep one service alive across many
@@ -103,17 +102,12 @@ _WORKER_QUEUE: Optional[Any] = None
 
 
 def _warm_imports() -> None:
-    """Import the whole flow stack and materialize both tech presets —
-    what makes a worker *warm*: jobs start at the algorithm, not at
-    module import."""
+    """Import the whole flow stack — what makes a worker *warm*: jobs
+    start at the algorithm, not at module import."""
     import repro.core.macro3d  # noqa: F401
     import repro.flows.compact2d  # noqa: F401
     import repro.flows.flow2d  # noqa: F401
     import repro.flows.shrunk2d  # noqa: F401
-    from repro.tech.presets import hk28, hk28_macro_die
-
-    hk28()
-    hk28_macro_die()
 
 
 def _warm_worker(queue: Optional[Any]) -> None:
@@ -136,9 +130,10 @@ class FlowService:
     submission order as workers free up; results (bench artifacts and
     any files written) land on the :class:`JobRecord`.  A job that
     raises, or whose worker dies, ends ``FAILED`` — the service itself
-    never raises for it.  Use as a context manager, or call
-    :meth:`shutdown` explicitly; :meth:`drain` blocks until the queue
-    is empty without killing the workers.
+    never raises for it, and the next submission gets a fresh pool.
+    Use as a context manager, or call :meth:`shutdown` explicitly;
+    :meth:`drain` blocks until the queue is empty without killing the
+    workers.
     """
 
     def __init__(
@@ -169,12 +164,12 @@ class FlowService:
         self._event_queue: Optional[Any] = None
         self._drainer: Optional[threading.Thread] = None
 
-        context = fork_context()
-        if context is not None:
+        self._context = fork_context()
+        if self._context is not None:
             self.mode = "fork-pool"
             self.workers = max(1, jobs)
             if dispatch is not None:
-                self._event_queue = context.Queue()
+                self._event_queue = self._context.Queue()
 
                 def drain() -> None:
                     while True:
@@ -187,14 +182,7 @@ class FlowService:
                     target=drain, name="serve-event-drain", daemon=True
                 )
                 self._drainer.start()
-            # initargs travel through the worker Process constructor, so
-            # the fork-context queue is inherited, not pickled.
-            self._pool: Any = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=_warm_worker,
-                initargs=(self._event_queue,),
-            )
+            self._pool: Any = self._fork_pool()
             self._run: Callable[..., JobResult] = _pool_job
         else:
             # No fork: same API on one serial worker thread (the obs
@@ -211,13 +199,24 @@ class FlowService:
             self._job_kwargs["write"] = dispatch
             self._run = run_job
 
+    def _fork_pool(self) -> ProcessPoolExecutor:
+        # initargs travel through the worker Process constructor, so
+        # the fork-context queue is inherited, not pickled.
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=self._context,
+            initializer=_warm_worker,
+            initargs=(self._event_queue,),
+        )
+
     # -- submission ----------------------------------------------------------------
 
     def submit(self, scenario: str) -> int:
         """Enqueue one scenario; returns its job id immediately.
 
-        On a broken pool (a worker died) the job is recorded ``FAILED``
-        at once, its error naming the broken pool.
+        A worker death breaks the whole pool and fails every job in
+        flight on it.  The next submission finds the pool broken, drops
+        it and runs on a freshly forked one.
         """
         with self._lock:
             if self._closed:
@@ -232,9 +231,12 @@ class FlowService:
                 future = self._pool.submit(
                     self._run, scenario, **self._job_kwargs
                 )
-            except BrokenExecutor as exc:
-                future = Future()
-                future.set_exception(exc)
+            except BrokenExecutor:
+                self._pool.shutdown(wait=False)
+                self._pool = self._fork_pool()
+                future = self._pool.submit(
+                    self._run, scenario, **self._job_kwargs
+                )
             self._futures[job_id] = future
         return job_id
 
@@ -255,8 +257,8 @@ class FlowService:
                     future.result()
                 )
             except Exception:
-                # The worker never reported (it died, or the pool was
-                # already broken): format the pool's error parent-side.
+                # The worker never reported (its pool broke while the
+                # job was in flight): format the pool's error parent-side.
                 artifact, paths, formatted = None, [], traceback.format_exc()
             if formatted:
                 record.state = FAILED

@@ -4,8 +4,8 @@
 through one persistent :class:`~repro.serve.service.FlowService`
 ``K+1`` times against a shared stage cache: round 0 is **cold** (every
 stage computes and stores), rounds 1..K are **warm** (chains of cache
-hits answered by workers whose imports, tech presets and cache index
-are already hot).  The report separates the two regimes into
+hits answered by workers whose imports and cache index are already
+hot).  The report separates the two regimes into
 ``designs_per_hour_cold`` / ``designs_per_hour_warm`` and asserts the
 warm runs are QoR byte-identical to the cold ones.
 

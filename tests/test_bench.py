@@ -87,19 +87,26 @@ def make_artifact(**overrides) -> BenchArtifact:
 class TestScenarioRegistry:
     def test_full_grid(self):
         scenarios = all_scenarios()
-        # 4 flows x 2 cache configs x 2 sizes, plus the large tier.
-        assert len(scenarios) == 17
-        assert len({s.name for s in scenarios}) == 17
+        # 6 flows x 2 cache configs x 3 sizes, plus the large tier.
+        assert len(scenarios) == 37
+        assert len({s.name for s in scenarios}) == 37
 
-    def test_small_tier_has_eight(self):
+    def test_small_tier_has_twelve(self):
         small = all_scenarios(size="small")
-        assert len(small) == 8
+        assert len(small) == 12
         assert all(s.size == "small" for s in small)
 
-    def test_medium_tier_has_eight(self):
+    def test_medium_tier_has_twelve(self):
         medium = all_scenarios(size="medium")
-        assert len(medium) == 8
+        assert len(medium) == 12
         assert all(s.size == "medium" for s in medium)
+
+    def test_paper_tier_is_the_table_design_point(self):
+        paper = all_scenarios(size="paper")
+        assert len(paper) == 12
+        assert {s.flow for s in paper} == set(FLOW_RUNNERS)
+        assert all(s.scale == 0.04 for s in paper)
+        assert all(s.sizing_iterations == 25 for s in paper)
 
     def test_large_tier_is_budget_gated(self):
         large = all_scenarios(size="large")

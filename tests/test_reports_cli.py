@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.scenarios import FLOW_RUNNERS
 from repro.cli import build_parser, main
 from repro.extract.rc import extract_design
 from repro.io.spef import diff_spef, parse_spef, write_spef
@@ -101,19 +102,22 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["run", "--flow", "2d", "--scale", "0.02"])
         assert args.flow == "2d" and args.scale == 0.02
-        args = parser.parse_args(["compare", "--config", "large"])
+        args = parser.parse_args(["run", "--config", "large"])
         assert args.config == "large"
+
+    def test_run_flow_choices_are_the_registry_flows(self):
+        parser = build_parser()
+        for flow in FLOW_RUNNERS:
+            assert parser.parse_args(["run", "--flow", flow]).flow == flow
+        # The BF and M6-M4 variants are flows, not run flags.
+        for flags in (["--balanced"], ["--macro-metals", "4"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["run", "--flow", "s2d", *flags])
 
     def test_unknown_flow_rejected(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--flow", "teleport"])
-
-    def test_floorplans_command_runs(self, capsys):
-        code = main(["floorplans", "--config", "small", "--scale", "0.02"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "macro die" in out and "M" in out
 
     def test_run_command_runs(self, capsys):
         code = main(["run", "--flow", "2d", "--scale", "0.02"])

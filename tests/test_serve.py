@@ -5,7 +5,8 @@ spawn-platform serial fallback) runs against one real tiny scenario —
 cold then warm through the same live service, which is the whole point
 of keeping workers alive.  A flow that kills its fork worker checks
 that a dead worker fails its jobs instead of raising out of the service
-or out of ``run_benchmarks``.  The throughput half is covered twice: a
+or out of ``run_benchmarks``, and that the service replaces the broken
+pool for the next submission.  The throughput half is covered twice: a
 real ``run_throughput`` over the warm service, and synthetic
 history-record tests proving the designs/hour metric round-trips and
 is picked up by the ``bench compare --trend`` gate.
@@ -167,20 +168,19 @@ class TestWorkerDeath:
         for scenario in self.DEAD:
             unregister_scenario(scenario.name)
 
-    def test_wait_and_later_submit_fail_instead_of_raising(
-        self, dead_registered, tmp_path
+    def test_dead_job_fails_and_later_submit_runs_on_a_fresh_pool(
+        self, dead_registered, tiny_registered, tmp_path
     ):
         with FlowService(jobs=1, out_dir=str(tmp_path / "out")) as service:
             died = service.wait(
                 service.submit(dead_registered[0].name), timeout=60
             )
-            later = service.wait(
-                service.submit(dead_registered[1].name), timeout=60
-            )
-        for record in (died, later):
-            assert record.state == FAILED
-            assert "BrokenProcessPool" in record.error
-            assert record.artifact is None and record.start_s is None
+            later = service.wait(service.submit(TINY.name), timeout=120)
+        assert died.state == FAILED
+        assert "BrokenProcessPool" in died.error
+        assert died.artifact is None and died.start_s is None
+        assert later.state == DONE, later.traceback
+        assert later.artifact.scenario == TINY.name
 
     def test_run_benchmarks_fails_every_in_flight_scenario(
         self, dead_registered, tmp_path

@@ -8,6 +8,8 @@ baseline metric-by-metric:
 - each gated metric has a *warn* and a *fail* threshold on the percent
   change in its **worsening** direction (more wall time, less fclk, ...);
 - improvements and sub-warn noise pass;
+- a ``keys`` row fails when the artifact's ``ppa.*`` or ``counters.*``
+  names differ from the baseline's (a metric added or dropped);
 - wall-time/RSS metrics can be demoted to warn-only (``gate_time
   =False``) for cross-machine comparisons like CI, where QoR is
   deterministic but the clock is not.
@@ -20,9 +22,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.bench.artifact import BenchArtifact, artifact_filename, load_artifact
+from repro.bench.artifact import (
+    BenchArtifact,
+    artifact_filename,
+    load_artifact,
+    qor_dict,
+)
 
 #: Default location of the committed baselines, relative to the repo root.
 DEFAULT_BASELINE_DIR = os.path.join("benchmarks", "baselines")
@@ -134,7 +141,39 @@ def compare_artifacts(
             status = WARN
             note = "time metric, not gated"
         deltas.append(MetricDelta(spec.path, base, cur, change, status, note))
+    drift = _key_drift(current, baseline)
+    if drift is not None:
+        deltas.append(drift)
     return deltas
+
+
+def _metric_names(artifact: BenchArtifact) -> Set[str]:
+    # The QoR view, so the ``cache_*`` counters of a cached run do not
+    # count as drift against a baseline made without a cache.
+    qor = qor_dict(artifact)
+    return ({f"ppa.{name}" for name in qor.get("ppa", {})}
+            | {f"counters.{name}" for name in qor.get("counters", {})})
+
+
+def _key_drift(
+    current: BenchArtifact, baseline: BenchArtifact
+) -> Optional[MetricDelta]:
+    """A FAIL ``keys`` row when the artifacts' ``ppa.*``/``counters.*``
+    names differ, or None when they match.
+
+    The specs gate only the metrics they name, so a counter the code
+    starts or stops emitting would otherwise pass as +0.00 % drift.
+    """
+    now, then = _metric_names(current), _metric_names(baseline)
+    added, removed = sorted(now - then), sorted(then - now)
+    if not added and not removed:
+        return None
+    note = "; ".join(
+        f"{label} {', '.join(names)}"
+        for label, names in (("added", added), ("removed", removed))
+        if names
+    )
+    return MetricDelta("keys", None, None, None, FAIL, note)
 
 
 #: Minimum history depth before the trend comparator judges a scenario.

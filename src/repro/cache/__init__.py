@@ -26,7 +26,6 @@ Three layers:
 """
 
 from repro.cache.keys import (
-    CACHE_EPOCH,
     UnhashableInputError,
     canonical_fingerprint,
     chain_key,
@@ -47,7 +46,6 @@ from repro.cache.store import (
 from repro.cache.chain import StageChain
 
 __all__ = [
-    "CACHE_EPOCH",
     "CACHE_SCHEMA",
     "CacheError",
     "CacheStats",

@@ -15,25 +15,23 @@ consumes.  Two properties are load-bearing (and property-tested in
   stage key changes the key.  Type tags keep ``1``, ``1.0``, ``"1"``
   and ``True`` distinct.
 
-Keys deliberately do **not** hash the implementation: a QoR-affecting
-algorithm change must bump :data:`CACHE_EPOCH` (the package version is
-folded in as well, so releases never collide with dev caches).
+Keys also cover the implementation: every chain key folds in
+:func:`source_digest` of the ``repro`` package, so any edit to any
+``.py`` file under it invalidates every entry.  Nothing has to be
+bumped by hand, and no checkpoint is served to code other than the
+code that wrote it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
+import os
 from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
-
-#: Bump whenever a flow stage's *output* for identical inputs changes
-#: (new algorithm, bugfix, changed state layout).  Stale entries from
-#: older epochs are simply never looked up again.
-CACHE_EPOCH = 2
-
 
 class UnhashableInputError(TypeError):
     """An object that cannot be canonically fingerprinted was used as a
@@ -118,18 +116,44 @@ def canonical_fingerprint(obj: Any) -> str:
     return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
 
 
+def source_digest(root: str) -> str:
+    """SHA-256 over every ``.py`` file under ``root``.
+
+    Files are fed in sorted order of their ``/``-separated relative
+    paths, each as ``path, length, bytes``, so the digest depends only
+    on the file tree's names and contents.
+    """
+    paths = sorted(
+        os.path.relpath(os.path.join(dirpath, name), root).replace(os.sep, "/")
+        for dirpath, _dirnames, filenames in os.walk(root)
+        for name in filenames
+        if name.endswith(".py")
+    )
+    digest = hashlib.sha256()
+    for rel in paths:
+        with open(os.path.join(root, rel), "rb") as handle:
+            data = handle.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """:func:`source_digest` of the running ``repro`` package, computed
+    once per process."""
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return source_digest(package)
+
+
 def chain_key(flow: str, inputs: Optional[Dict[str, Any]] = None) -> str:
     """The root key a flow's stage chain grows from.
 
-    Folds the cache epoch, the package version, the flow name, and the
-    run-level inputs (tile config, scale, tech presets, floorplan
-    options) — everything upstream of the first stage.
+    Folds the package's source digest, the flow name, and the run-level
+    inputs (tile config, scale, tech presets, floorplan options) —
+    everything upstream of the first stage.
     """
-    from repro import __version__
-
-    return canonical_fingerprint(
-        ("chain", CACHE_EPOCH, __version__, flow, inputs or {})
-    )
+    return canonical_fingerprint(("chain", code_digest(), flow, inputs or {}))
 
 
 def stage_key(

@@ -21,9 +21,18 @@ The JSON sidecar is intentionally separate from the pickle: a cache
 replay, key facts) — the pickle is loaded lazily, and a fully-warm run
 unpickles exactly one checkpoint, the deepest.
 
-Writes are atomic (tmp + ``os.replace``) so concurrent workers sharing
-a cache dir race benignly: last writer wins, readers never see a torn
-entry.
+Each file is written atomically (tmp + ``os.replace``), the pickle
+before its sidecar, so a reader that finds a sidecar also finds a whole
+pickle.  Concurrent writers of one key race benignly: the pickle loads
+as exactly one writer's state, though the sidecar may be the other
+writer's.  That pairing is safe because the key covers the stage's
+inputs and the package source, so both writers computed the same state.
+
+Loads and stores run inside a flow, where the cyclic collector is
+paused (:data:`repro.flows.base.collector_paused`): unpickling or
+pickling a checkpoint allocates millions of containers, and with the
+collector on each such burst sets off full collections that re-scan
+the live design graph.
 """
 
 from __future__ import annotations
@@ -61,6 +70,12 @@ class CacheError(RuntimeError):
 _DUMP_STACK_BYTES = 512 * 1024 * 1024
 _DUMP_RECURSION_LIMIT = 2_000_000
 
+#: The recursion limit and the thread stack size are process-wide, so
+#: concurrent dumps must not interleave their save/raise/restore: one
+#: thread's restore would cut another's dump short (RecursionError) or
+#: leave the raised values behind.
+_DUMP_LOCK = threading.Lock()
+
 
 def _deep_dumps(obj: Any) -> bytes:
     """``pickle.dumps`` that tolerates design-depth object graphs."""
@@ -76,13 +91,14 @@ def _deep_dumps(obj: Any) -> bytes:
         finally:
             sys.setrecursionlimit(limit)
 
-    previous = threading.stack_size(_DUMP_STACK_BYTES)
-    try:
-        worker = threading.Thread(target=work, name="repro-cache-pickle")
-        worker.start()
-    finally:
-        threading.stack_size(previous)
-    worker.join()
+    with _DUMP_LOCK:
+        previous = threading.stack_size(_DUMP_STACK_BYTES)
+        try:
+            worker = threading.Thread(target=work, name="repro-cache-pickle")
+            worker.start()
+        finally:
+            threading.stack_size(previous)
+        worker.join()
     if "error" in out:
         raise out["error"]
     return out["blob"]

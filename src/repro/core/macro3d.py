@@ -31,6 +31,7 @@ from repro.flows.base import (
     chained_route,
     chained_signoff,
     chained_verify,
+    collector_paused,
     seed_tile,
     summarize_flow,
 )
@@ -41,6 +42,7 @@ from repro.tech.presets import hk28, hk28_macro_die
 from repro.tech.technology import Technology
 
 
+@collector_paused
 def run_flow_macro3d(
     config: TileConfig,
     scale: float = 0.05,

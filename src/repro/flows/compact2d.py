@@ -24,6 +24,7 @@ from repro.flows.base import (
     FlowResult,
     chained_place,
     chained_route,
+    collector_paused,
     seed_tile,
 )
 from repro.flows.pseudo_common import finalize_two_die, pseudo_floorplan
@@ -64,6 +65,7 @@ def scaled_parasitics_stack(stack: LayerStack, factor: float) -> LayerStack:
     return LayerStack(layers)
 
 
+@collector_paused
 def run_flow_c2d(
     config: TileConfig,
     scale: float = 0.05,

@@ -18,6 +18,7 @@ from repro.flows.base import (
     chained_route,
     chained_signoff,
     chained_verify,
+    collector_paused,
     seed_tile,
     summarize_flow,
 )
@@ -28,6 +29,7 @@ from repro.tech.presets import hk28
 from repro.tech.technology import Technology
 
 
+@collector_paused
 def run_flow_2d(
     config: TileConfig,
     scale: float = 0.05,

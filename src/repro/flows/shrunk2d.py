@@ -32,6 +32,7 @@ from repro.flows.base import (
     FlowResult,
     chained_place,
     chained_route,
+    collector_paused,
     seed_tile,
 )
 from repro.flows.pseudo_common import (
@@ -54,6 +55,7 @@ from repro.tech.technology import Technology
 SHRINK = 1.0 / math.sqrt(2.0)
 
 
+@collector_paused
 def run_flow_s2d(
     config: TileConfig,
     scale: float = 0.05,

@@ -303,6 +303,34 @@ class TestComparator:
         by_path = {d.path: d for d in deltas}
         assert by_path["counters.maze_expansions"].status == "missing"
 
+    def test_key_set_drift_fails_even_with_time_gate_off(self):
+        baseline = make_artifact()
+        del baseline.counters["f2f_vias"]  # ungated, so no spec row sees it
+        current = make_artifact()
+        current.ppa["drc_total"] = 0.0
+        deltas = compare_artifacts(current, baseline, gate_time=False)
+        keys = [d for d in deltas if d.path == "keys"]
+        assert len(keys) == 1
+        assert keys[0].status == "fail"
+        assert keys[0].note == "added counters.f2f_vias, ppa.drc_total"
+        deltas = compare_artifacts(baseline, current)
+        assert [d.note for d in deltas if d.path == "keys"] == [
+            "removed counters.f2f_vias, ppa.drc_total"
+        ]
+        assert "keys" not in {
+            d.path for d in compare_artifacts(current, copy.deepcopy(current))
+        }
+
+    def test_cache_counters_are_not_key_drift(self):
+        # A cached run records how it executed (hits, misses, stores);
+        # the baselines are made without a cache and must still match.
+        current = make_artifact()
+        current.counters.update(
+            {"cache_hit": 3.0, "cache_miss": 5.0, "cache_store": 5.0}
+        )
+        deltas = compare_artifacts(current, make_artifact())
+        assert "keys" not in {d.path for d in deltas}
+
     def test_metric_absent_on_both_sides_is_skipped(self):
         current = make_artifact(peak_rss_kb=None)
         baseline = make_artifact(peak_rss_kb=None)

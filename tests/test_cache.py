@@ -10,18 +10,26 @@ must move).  On top of that: store round trips (including the
 deep-object-graph pickling regression), the StageChain hit/miss/replay
 protocol on a synthetic three-stage flow, the spawn-platform serial
 fallback of ``bench run --jobs``, and one real 2D flow run proving a
-warm repeat is all hits with byte-identical QoR counters.
+warm repeat is all hits with byte-identical QoR counters.  Damaged or
+raced entries (truncated pickle, sidecar without its pickle, foreign
+schema, two writers of one key) must give a clean miss or a
+:class:`CacheError`, never a wrong state; and the chain key moves with
+any byte of the package source.
 """
 
 import copy
+import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro.bench import (
     Scenario,
     register_scenario,
@@ -43,6 +51,9 @@ from repro.cache import (
     resolve_cache_dir,
     stage_key,
 )
+from repro.cache import keys as cache_keys
+from repro.cache.keys import code_digest, source_digest
+from repro.cache.store import CACHE_SCHEMA
 from repro.flows.base import FlowOptions
 from repro.flows.flow2d import run_flow_2d
 from repro.geom import Point
@@ -106,9 +117,11 @@ class TestCanonicalFingerprint:
         )
         script = (
             "from repro.cache import canonical_fingerprint, chain_key;"
+            "from repro.cache.keys import code_digest;"
             f"obj = eval({payload!r});"
             "print(canonical_fingerprint(obj));"
-            "print(chain_key('s2d', obj))"
+            "print(chain_key('s2d', obj));"
+            "print(code_digest())"
         )
         digests = []
         for seed in ("0", "4242"):
@@ -124,7 +137,7 @@ class TestCanonicalFingerprint:
         obj = eval(payload)
         assert digests[0] == digests[1]
         assert digests[0] == [canonical_fingerprint(obj),
-                              chain_key("s2d", obj)]
+                              chain_key("s2d", obj), code_digest()]
 
 
 class TestNetlistFingerprint:
@@ -177,6 +190,36 @@ class TestStageKeys:
         inputs = {"scale": 0.02}
         assert chain_key("2d", inputs) != chain_key("macro3d", inputs)
 
+    def test_a_changed_source_byte_moves_the_key(self, tmp_path, monkeypatch):
+        package = os.path.dirname(os.path.abspath(repro.__file__))
+        copy_root = str(tmp_path / "repro")
+        shutil.copytree(package, copy_root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        # The digest depends on the file tree's contents, not its place.
+        assert source_digest(copy_root) == code_digest()
+        key = chain_key("2d", {"scale": 0.02})
+
+        target = os.path.join(copy_root, "flows", "base.py")
+        with open(target, "rb") as handle:
+            data = bytearray(handle.read())
+        data[len(data) // 2] ^= 0x01
+        with open(target, "wb") as handle:
+            handle.write(bytes(data))
+        edited = source_digest(copy_root)
+        assert edited != code_digest()
+        monkeypatch.setattr(cache_keys, "code_digest", lambda: edited)
+        assert chain_key("2d", {"scale": 0.02}) != key
+
+
+def _chain(node):
+    """The ``i`` values of a ``{"next": ..., "i": ...}`` linked list,
+    walked iteratively (``==`` on one would recurse past the limit)."""
+    values = []
+    while node is not None:
+        values.append(node["i"])
+        node = node["next"]
+    return values
+
 
 class TestStore:
     def test_round_trip(self, tmp_path):
@@ -214,6 +257,67 @@ class TestStore:
             handle.write(b"\x80corrupt")
         with pytest.raises(CacheError):
             cache.load_state(key)
+
+    def test_sidecar_without_pickle_is_a_miss(self, tmp_path):
+        key = "56" * 32
+        StageCache(str(tmp_path)).store(key, {"x": 1}, [], stage="sta")
+        os.unlink(StageCache(str(tmp_path)).state_path(key))
+        assert StageCache(str(tmp_path)).lookup(key) is None
+
+    def test_foreign_schema_sidecar_is_a_miss(self, tmp_path):
+        key = "78" * 32
+        cache = StageCache(str(tmp_path))
+        cache.store(key, {"x": 1}, [], stage="sta")
+        with open(cache.meta_path(key), "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        assert meta["schema"] == CACHE_SCHEMA
+        meta["schema"] = "repro.cache/v0"
+        with open(cache.meta_path(key), "w", encoding="utf-8") as handle:
+            json.dump(meta, handle)
+        assert StageCache(str(tmp_path)).lookup(key) is None
+
+    def test_concurrent_writers_of_one_key_leave_one_whole_state(
+        self, tmp_path
+    ):
+        # Deeper than the default recursion limit, so every writer needs
+        # the store's deep-pickle setup at once.
+        key = "9a" * 32
+        states = []
+        for writer in range(4):
+            node = None
+            for i in range(5_000 + 1_000 * writer):
+                node = {"next": node, "i": i}
+            states.append({"writer": writer, "deep": node})
+        limit = sys.getrecursionlimit()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                cache = StageCache(str(tmp_path))
+                start = threading.Barrier(len(states))
+                errors = []
+
+                def write(state):
+                    try:
+                        start.wait(timeout=30)
+                        cache.store(key, state, [], stage="sta")
+                    except BaseException as exc:  # surfaced below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=write, args=(state,))
+                           for state in states]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors
+                assert sys.getrecursionlimit() == limit
+                loaded = StageCache(str(tmp_path)).load_state(key)
+                want = states[loaded["writer"]]
+                assert _chain(loaded["deep"]) == _chain(want["deep"])
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_deep_object_graphs_pickle(self, tmp_path):
         # Regression: Instance->Net->Instance chains recurse with design
@@ -327,18 +431,27 @@ class TestFlowWarmRepeat:
 
     OPTIONS = FlowOptions(sizing_iterations=1)
 
-    def _run(self):
+    @classmethod
+    def _run(cls):
         with recording() as rec:
             result = run_flow_2d(
-                small_cache_config(), scale=0.01, options=self.OPTIONS
+                small_cache_config(), scale=0.01, options=cls.OPTIONS
             )
         return result, FlowTrace.from_recorder(
             rec, flow=result.flow, design=result.design
         )
 
-    def test_warm_2d_flow_is_all_hits_and_qor_identical(self, tmp_path):
-        with caching(StageCache(str(tmp_path))):
-            cold, cold_trace = self._run()
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        """One cold run: its cache dir, result and trace."""
+        cache_dir = str(tmp_path_factory.mktemp("cache"))
+        with caching(StageCache(cache_dir)):
+            result, trace = self._run()
+        return cache_dir, result, trace
+
+    def test_warm_2d_flow_is_all_hits_and_qor_identical(self, cold):
+        cache_dir, cold, cold_trace = cold
+        with caching(StageCache(cache_dir)):
             warm, warm_trace = self._run()
         assert warm_trace.counters["cache_hit"] == 10
         assert "cache_miss" not in warm_trace.counters
@@ -351,6 +464,20 @@ class TestFlowWarmRepeat:
 
         assert qor_counters(warm_trace) == qor_counters(cold_trace)
         assert warm_trace.gauges == cold_trace.gauges
+
+    def test_truncated_checkpoint_is_a_cache_error(self, cold, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        shutil.copytree(cold[0], cache_dir)
+        for dirpath, _dirnames, filenames in os.walk(cache_dir):
+            for name in filenames:
+                if name.endswith(".pkl"):
+                    path = os.path.join(dirpath, name)
+                    os.truncate(path, os.path.getsize(path) // 2)
+        with caching(StageCache(cache_dir)):
+            with pytest.raises(CacheError):
+                self._run()
+        # The flow's collector pause ends on the raise, too.
+        assert gc.isenabled()
 
 
 class TestIndexReuse:

@@ -3,12 +3,18 @@
 These exercise the complete flows on a very small tile.  The flow runs
 themselves are the session-scoped ``flow_*`` fixtures of conftest.py
 (shared with test_obs/test_determinism/test_flow_shape), so each flow
-executes once for the whole suite.
+executes once for the whole suite.  The flows' memory policy (the
+cyclic collector paused for a run) is checked on failing, nested and
+concurrent runs; test_determinism checks that it leaves QoR untouched.
 """
+
+import gc
+import threading
+import weakref
 
 import pytest
 
-from repro.flows.base import FlowOptions
+from repro.flows.base import FlowOptions, collector_paused
 from repro.flows.compact2d import scaled_parasitics_stack
 from repro.flows.flow2d import run_flow_2d
 from repro.flows.shrunk2d import run_flow_s2d
@@ -147,3 +153,68 @@ class TestMetrics:
             "Crit-path wirelength [mm]", "Ametal [mm2]",
         ):
             assert key in row
+
+
+def _failing_floorplan(*args, **kwargs):
+    assert not gc.isenabled(), "collector on inside a flow run"
+    raise RuntimeError("floorplan failed")
+
+
+class TestCollectorPause:
+    def test_a_raising_stage_leaves_the_collector_enabled(self, monkeypatch):
+        monkeypatch.setattr("repro.flows.flow2d.place_macros_2d",
+                            _failing_floorplan)
+        with pytest.raises(RuntimeError, match="floorplan failed"):
+            run_flow_2d(small_cache_config(), scale=0.01)
+        assert gc.isenabled()
+
+    def test_a_nested_flow_does_not_reenable_early(self, monkeypatch):
+        monkeypatch.setattr("repro.flows.flow2d.place_macros_2d",
+                            _failing_floorplan)
+        with collector_paused:
+            with pytest.raises(RuntimeError, match="floorplan failed"):
+                run_flow_2d(small_cache_config(), scale=0.01)
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_entered_disabled_stays_disabled_but_still_collects(self):
+        class Node:
+            pass
+
+        gc.disable()
+        try:
+            node = Node()
+            node.me = node
+            ref = weakref.ref(node)
+            del node
+            with collector_paused:
+                assert ref() is None  # freed by the entry collection
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_concurrent_runs_share_one_pause(self):
+        both_inside = threading.Barrier(2)
+        first_left = threading.Event()
+        seen = {}
+
+        def first():
+            with collector_paused:
+                both_inside.wait(timeout=30)
+            first_left.set()
+
+        def second():
+            with collector_paused:
+                both_inside.wait(timeout=30)
+                first_left.wait(timeout=30)
+                seen["enabled_after_first_exit"] = gc.isenabled()
+
+        threads = [threading.Thread(target=first),
+                   threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"enabled_after_first_exit": False}
+        assert gc.isenabled()

@@ -1,11 +1,13 @@
 """Content-addressed incremental stage cache (``repro.cache``).
 
-Every flow stage boundary (build_tile → floorplan → global_place →
-legalize → global_route → layer_assign → cts → extract → sta → verify,
-plus the pseudo/partition stages of S2D and C2D) is a cacheable unit:
-its key hashes the canonical inputs — netlist content, tech preset,
-flow name, the stage's own knobs, and the upstream stage key — and its
-value is the cumulative flow state checkpoint at that boundary.
+A flow run is a chain of cacheable stages, one per knob boundary
+(build_tile → floorplan → global_place → legalize → global_route → cts
+→ sta, with ``project_mol`` for Macro-3D's floorplan and the pseudo and
+partition stages of S2D and C2D); knob-less work such as layer
+assignment, extraction and verification runs inside the stage before
+it.  A stage's key hashes the canonical inputs — netlist content, tech
+preset, flow name, the stage's own knobs, and the upstream stage key —
+and its value is the cumulative flow state checkpoint at that boundary.
 
 A repeat run becomes a chain of cache hits that collapses to one
 unpickle of the deepest checkpoint; a partially-edited request (say,

@@ -10,18 +10,26 @@ them in order, maintaining two things:
   placement, routed grid, ...) that stage computes mutate in place and
   checkpoints snapshot.
 
+**One checkpoint per knob boundary.**  A stage with no inputs of its
+own has a key that is a pure function of the key before it, so its
+checkpoint could never be the point a run resumes from.  ``run()``
+therefore rejects such a stage after the first (cache on or off); its
+work belongs in the compute of the stage before it.
+
 On a **hit** the chain does *not* unpickle anything: it replays the
 stage's metric journal (so counters/gauges/histograms in the trace are
-byte-identical to a cold run), tags a ``span(name, cache="hit")``, and
-remembers the checkpoint key.  The pickle is materialized lazily — on
-the first miss that actually needs upstream state, or when the flow
-reads :attr:`state` at the end.  A fully-warm run therefore costs one
-unpickle (the deepest checkpoint) plus journal replays.
+byte-identical to a cold run), re-emits the spans the compute opened
+at its top level, tagged ``cache="hit"``, and remembers the checkpoint
+key.  The pickle is materialized lazily — on the first miss that
+actually needs upstream state, or when the flow reads :attr:`state` at
+the end.  A fully-warm run therefore costs one unpickle (the deepest
+checkpoint) plus journal replays.  A miss tags the compute's top-level
+spans ``cache="miss"`` and adds none, so a cached trace has the span
+tree of an uncached one.
 
 With no ambient cache (:func:`~repro.cache.store.active_cache` is
 None) every ``run()`` degrades to a plain function call: no hashing,
-no spans, no I/O — the flows behave exactly as before this subsystem
-existed.
+no I/O — the flows behave exactly as before this subsystem existed.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cache.keys import canonical_fingerprint, chain_key, stage_key
 from repro.cache.store import StageCache, active_cache
-from repro.obs import count, journaling, replay_journal, span
+from repro.obs import count, journaling, opened_spans, replay_journal, span
 
 #: A stage compute: mutates the state dict in place; optionally returns
 #: a small JSON-safe "facts" dict folded into downstream keys (e.g. the
@@ -115,19 +123,30 @@ class StageChain:
         must not over-approximate, or edits reuse less than they could
         (changing ``sizing_iterations`` should hit everything upstream
         of signoff).  Upstream coupling comes from the chained key.
+        Only the chain's first stage may have none.
         """
+        if not inputs and self.stages:
+            raise ValueError(
+                f"stage {name!r} has no inputs of its own: its checkpoint "
+                "could never be resumed from, so fold its compute into "
+                "the stage before it"
+            )
         if self._cache is None:
             compute(self._state)
             self.stages.append((name, "computed"))
             return None
         self._key = stage_key(name, self._key, inputs)
+        tag = self._key[:12]
         entry = self._cache.lookup(self._key)
         if entry is not None and entry.get("stage") == name:
             self.hits += 1
             facts = entry.get("facts") or {}
-            with span(name, cache="hit", key=self._key[:12]):
-                count("cache_hit", 1)
-                replay_journal(entry.get("journal") or [])
+            count("cache_hit", 1)
+            replay_journal(entry.get("journal") or [])
+            # Empty spans: the work was done when the entry was stored.
+            for span_name in entry.get("spans") or [name]:
+                with span(span_name, cache="hit", key=tag):
+                    pass
             self._pending = self._key
             self.stages.append((name, "hit"))
             if facts:
@@ -137,10 +156,11 @@ class StageChain:
         self._materialize()
         self.misses += 1
         started = time.perf_counter()
-        with span(name, cache="miss", key=self._key[:12]):
-            count("cache_miss", 1)
-            with journaling() as journal:
-                facts = compute(self._state) or {}
+        count("cache_miss", 1)
+        with journaling() as journal, opened_spans() as spans:
+            facts = compute(self._state) or {}
+        for record in spans:
+            record.attrs.update(cache="miss", key=tag)
         self._cache.store(
             self._key,
             self._state,
@@ -149,6 +169,7 @@ class StageChain:
             flow=self.flow,
             facts=facts,
             wall_s=time.perf_counter() - started,
+            spans=[record.name for record in spans],
         )
         count("cache_store", 1)
         self.stages.append((name, "miss"))

@@ -4,7 +4,7 @@ Layout (under ``~/.cache/repro`` by default, overridable with
 ``--cache-dir`` or ``$REPRO_CACHE_DIR``)::
 
     <root>/v1/<key[:2]>/<key>.pkl    # pickled cumulative flow state
-    <root>/v1/<key[:2]>/<key>.json   # sidecar: stage identity + metric journal
+    <root>/v1/<key[:2]>/<key>.json   # sidecar: stage identity, metric journal, span names
 
 Each entry is one flow stage's **cumulative checkpoint**: the complete
 state dict a flow has built up to that stage boundary, pickled as a
@@ -17,9 +17,10 @@ diverge.  One pickle → one graph → downstream stages see exactly the
 references a cold run would have.
 
 The JSON sidecar is intentionally separate from the pickle: a cache
-*hit* only needs the sidecar (stage identity, the metric journal to
-replay, key facts) — the pickle is loaded lazily, and a fully-warm run
-unpickles exactly one checkpoint, the deepest.
+*hit* only needs the sidecar (stage identity, the metric journal and
+top-level span names to replay, key facts) — the pickle is loaded
+lazily, and a fully-warm run unpickles exactly one checkpoint, the
+deepest.
 
 Each file is written atomically (tmp + ``os.replace``), the pickle
 before its sidecar, so a reader that finds a sidecar also finds a whole
@@ -201,6 +202,7 @@ class StageCache:
         flow: str = "",
         facts: Optional[Dict[str, Any]] = None,
         wall_s: float = 0.0,
+        spans: Optional[List[str]] = None,
     ) -> Dict[str, Any]:
         """Persist one checkpoint atomically; returns the sidecar meta."""
         directory = self._dir(key)
@@ -213,6 +215,7 @@ class StageCache:
             "flow": flow,
             "facts": facts or {},
             "journal": [list(entry) for entry in journal],
+            "spans": list(spans or []),
             "state_bytes": len(blob),
             "wall_s": round(float(wall_s), 6),
             "created_unix": round(time.time(), 3),

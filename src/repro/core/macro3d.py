@@ -30,7 +30,6 @@ from repro.flows.base import (
     chained_place,
     chained_route,
     chained_signoff,
-    chained_verify,
     collector_paused,
     seed_tile,
     summarize_flow,
@@ -76,15 +75,13 @@ def run_flow_macro3d(
     with span("place"):
         chained_place(chain, fp_key="combined", row_height=logic.row_height,
                       options=options)
-    with span("route"):
-        chained_route(chain, placement_key="placement", fp_key="combined",
-                      stack_fn=lambda st: st["merged"].stack, options=options,
-                      merged_fn=lambda st: st["merged"], technology=logic)
+    chained_route(chain, placement_key="placement", fp_key="combined",
+                  stack_fn=lambda st: st["merged"].stack, options=options,
+                  merged_fn=lambda st: st["merged"], technology=logic)
     chained_cts(chain, placement_key="placement", fp_key="combined",
-                stack_fn=lambda st: st["merged"].stack, options=options,
+                stack_fn=lambda st: st["merged"].stack, technology=logic,
+                options=options,
                 macro_die_fn=lambda st: st["projection"].macro_die_instances)
-    with span("signoff"):
-        chained_signoff(chain, technology=logic, options=options)
 
     # Step 4: die separation (also validates the layer partition).
     def _separate(st):
@@ -95,12 +92,11 @@ def run_flow_macro3d(
             count("separated_dies", len(dies))
         st["dies"] = dies
 
-    chain.run("separate_dies", _separate)
-
-    # The flow's thesis, measured: the single-pass result verifies
-    # clean against the full 3D rules with no fix-up step in between.
-    chained_verify(chain, placement_key="placement", fp_key="combined",
-                   flow="macro3d")
+    # Sign-off, die separation, then the flow's thesis, measured: the
+    # single-pass result verifies clean against the full 3D rules with
+    # no fix-up step in between.
+    chained_signoff(chain, placement_key="placement", fp_key="combined",
+                    flow="macro3d", options=options, then=_separate)
 
     st = chain.state
     netlist = st["tile"].netlist

@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cache import StageChain, netlist_fingerprint
@@ -28,7 +28,7 @@ from repro.drc.report import DrcReport
 from repro.extract.rc import DesignParasitics, ExtractionIndex, extract_design
 from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.pins import place_ports, validate_alignment
-from repro.geom import Point, Rect
+from repro.geom import Point
 from repro.metrics.ppa import PPASummary
 from repro.netlist.core import Instance, Netlist
 from repro.obs import annotate, count, gauge, mark, observe, span
@@ -328,7 +328,7 @@ def _extract_stage(
     assignment: LayerAssignment,
     technology: Technology,
 ) -> Tuple[DesignParasitics, DesignParasitics]:
-    """The extraction half of :func:`signoff_design` (slow + typical)."""
+    """Slow- and typical-corner extraction of the routed design."""
     corners = technology.corners
     with span("extract", nets=len(routed)):
         index = ExtractionIndex(routed, assignment)
@@ -349,7 +349,12 @@ def _sta_stage(
     believed: Optional[DesignParasitics] = None,
     post_opt: bool = False,
 ) -> Signoff:
-    """The optimize + STA + power half of :func:`signoff_design`."""
+    """Optimize, then sign off with STA and power.
+
+    ``believed`` is the parasitic view the optimization trusts (the
+    pseudo design for S2D/C2D); sign-off always uses the real extraction.
+    ``post_opt`` re-optimizes once on the real parasitics (C2D).
+    """
     constraints = options.constraints.with_skew(clock_tree.skew)
     graph = TimingGraph(netlist)
     target_period = (
@@ -395,30 +400,6 @@ def _sta_stage(
     return Signoff(slow, typical, plan, sizing, sta, power, constraints)
 
 
-def signoff_design(
-    netlist: Netlist,
-    library: StdCellLibrary,
-    routed: Dict[str, RoutedNet],
-    assignment: LayerAssignment,
-    technology: Technology,
-    clock_tree: ClockTree,
-    options: FlowOptions,
-    believed: Optional[DesignParasitics] = None,
-    post_opt: bool = False,
-) -> Signoff:
-    """Optimize and sign off a routed design.
-
-    ``believed`` is the parasitic view the optimization trusts (the
-    pseudo design for S2D/C2D); sign-off always uses the real extraction.
-    ``post_opt`` re-optimizes once on the real parasitics (C2D).
-    """
-    slow, typical = _extract_stage(routed, assignment, technology)
-    return _sta_stage(
-        netlist, library, slow, typical, clock_tree, options,
-        believed=believed, post_opt=post_opt,
-    )
-
-
 def verify_design(
     netlist: Netlist,
     placement: Placement,
@@ -458,11 +439,12 @@ def verify_design(
 # -- chained stages ----------------------------------------------------------------------
 #
 # Cache-aware wrappers around the stage bodies above.  Each helper issues
-# one or two StageChain.run() calls whose computes read and write the
-# shared flow-state dict, so a flow becomes a chain of content-addressed
-# checkpoints.  With no active cache the chain is a null object and these
-# helpers execute exactly the same code, in the same span structure, as
-# the legacy place_design/route_design/signoff_design entry points.
+# one StageChain.run() per stage that has knobs of its own (one checkpoint
+# per knob boundary); knob-less work runs inside the compute of the stage
+# before it.  The computes read and write the shared flow-state dict and
+# open the flow-level spans themselves, and StageChain tags those spans
+# instead of adding a level, so a cached run has the same span tree as an
+# uncached one.
 
 #: A state accessor used by chained stages; evaluated inside the stage
 #: compute so it sees rehydrated state on warm resumes.
@@ -541,50 +523,49 @@ def chained_route(
     stack_fn: StateFn,
     options: FlowOptions,
     prefix: str = "",
+    span_name: str = "route",
     merged_fn: Optional[StateFn] = None,
     technology: Optional[Technology] = None,
     die1_fn: Optional[StateFn] = None,
     obstruction_fraction: float = 1.0,
-    out_grid: str = "grid",
     out_routed: str = "routed",
     out_assign: str = "assignment",
     keep_grid: bool = True,
     prepare: Optional[StateFn] = None,
+    then: Optional[StateFn] = None,
     **extra_knobs: Any,
 ) -> None:
-    """Route as two chained stages: ``<prefix>global_route`` and
-    ``<prefix>layer_assign``.
+    """Route as one chained ``<prefix>global_route`` stage: global
+    routing and layer assignment inside ``span(span_name)``, then
+    ``then`` (e.g. the pseudo flows' extraction).
 
     ``stack_fn``/``merged_fn``/``die1_fn`` are evaluated against the flow
-    state inside the computes so warm resumes see rehydrated objects.
-    When ``keep_grid`` is false the grid is dropped from state after
-    layer assignment (the pseudo grids of S2D/C2D are never needed
-    again, and they are the heaviest checkpoint payload).
+    state inside the compute so warm resumes see rehydrated objects.
+    When ``keep_grid`` is false the grid never enters the flow state (the
+    pseudo grids of S2D/C2D are never needed again).
     """
 
     def _route(st: Dict[str, Any]) -> None:
-        if prepare is not None:
-            prepare(st)
-        merged = merged_fn(st) if merged_fn is not None else None
-        grid, routed = _global_route_stage(
-            st["tile"].netlist, st[placement_key], stack_fn(st), st[fp_key],
-            options, merged=merged, technology=technology,
-            obstruction_fraction=obstruction_fraction,
-        )
-        st[out_grid] = grid
+        with span(span_name):
+            if prepare is not None:
+                prepare(st)
+            merged = merged_fn(st) if merged_fn is not None else None
+            grid, routed = _global_route_stage(
+                st["tile"].netlist, st[placement_key], stack_fn(st), st[fp_key],
+                options, merged=merged, technology=technology,
+                obstruction_fraction=obstruction_fraction,
+            )
+            die1 = die1_fn(st) if die1_fn is not None else None
+            st[out_assign] = _layer_assign_stage(grid, routed, die1)
         st[out_routed] = routed
+        if keep_grid:
+            st["grid"] = grid
+        if then is not None:
+            then(st)
 
     chain.run(prefix + "global_route", _route,
               grid=options.grid, router=options.router,
               obstruction_fraction=obstruction_fraction, **extra_knobs)
-
-    def _assign(st: Dict[str, Any]) -> None:
-        die1 = die1_fn(st) if die1_fn is not None else None
-        st[out_assign] = _layer_assign_stage(st[out_grid], st[out_routed], die1)
-        if not keep_grid:
-            st.pop(out_grid)
-
-    chain.run(prefix + "layer_assign", _assign)
 
 
 def chained_cts(
@@ -593,20 +574,27 @@ def chained_cts(
     placement_key: str,
     fp_key: str,
     stack_fn: StateFn,
-    library_fn: Optional[StateFn] = None,
+    technology: Technology,
     options: FlowOptions,
     macro_die_fn: Optional[StateFn] = None,
-    out: str = "clock_tree",
 ) -> None:
-    """Clock-tree synthesis as one chained ``cts`` stage."""
+    """Clock-tree synthesis and extraction as one chained ``cts`` stage.
+
+    The slow/typical parasitics are stored under the transient ``_slow``
+    and ``_typical`` keys, which :func:`chained_signoff` pops.
+    """
 
     def _cts(st: Dict[str, Any]) -> None:
         tile = st["tile"]
         macro_die = macro_die_fn(st) if macro_die_fn is not None else None
-        st[out] = synthesize_clock(
-            tile.netlist, st[placement_key], st[fp_key], stack_fn(st),
-            tile.library, options, macro_die_instances=macro_die,
-        )
+        with span("cts"):
+            st["clock_tree"] = synthesize_clock(
+                tile.netlist, st[placement_key], st[fp_key], stack_fn(st),
+                tile.library, options, macro_die_instances=macro_die,
+            )
+            st["_slow"], st["_typical"] = _extract_stage(
+                st["routed"], st["assignment"], technology
+            )
 
     chain.run("cts", _cts, cts=options.cts)
 
@@ -614,69 +602,43 @@ def chained_cts(
 def chained_signoff(
     chain: StageChain,
     *,
-    technology: Technology,
-    options: FlowOptions,
-    routed_key: str = "routed",
-    assign_key: str = "assignment",
-    clock_key: str = "clock_tree",
-    believed_key: Optional[str] = None,
-    post_opt: bool = False,
-    out: str = "signoff",
-) -> None:
-    """Sign-off as two chained stages: ``extract`` (parasitics, stored
-    under transient keys) and ``sta`` (optimize + STA + power)."""
-
-    def _extract(st: Dict[str, Any]) -> None:
-        slow, typical = _extract_stage(st[routed_key], st[assign_key], technology)
-        st["_slow"] = slow
-        st["_typical"] = typical
-
-    chain.run("extract", _extract)
-
-    def _sta(st: Dict[str, Any]) -> None:
-        tile = st["tile"]
-        believed = st[believed_key] if believed_key is not None else None
-        st[out] = _sta_stage(
-            tile.netlist, tile.library, st.pop("_slow"), st.pop("_typical"),
-            st[clock_key], options, believed=believed, post_opt=post_opt,
-        )
-
-    chain.run("sta", _sta,
-              sizing_iterations=options.sizing_iterations,
-              target_frequency_mhz=options.target_frequency_mhz,
-              constraints=options.constraints, post_opt=post_opt)
-
-
-def chained_verify(
-    chain: StageChain,
-    *,
     placement_key: str,
     fp_key: str,
     flow: str,
+    options: FlowOptions,
+    believed_key: Optional[str] = None,
+    post_opt: bool = False,
+    then: Optional[StateFn] = None,
     die1_cells_fn: Optional[StateFn] = None,
     die1_macros_fn: Optional[StateFn] = None,
-    extra: Optional[StateFn] = None,
-    out: str = "drc",
 ) -> None:
-    """Physical verification as one chained ``verify`` stage.
-
-    ``extra`` runs after DRC inside the same stage (e.g. the pseudo
-    flows' prefix-placement audit) so its metrics replay on warm hits.
+    """Sign-off as one chained ``sta`` stage: optimize + STA + power
+    inside ``span("signoff")``, then ``then`` (Macro-3D's die separation,
+    the pseudo flows' prefix-placement audit), then verification.
     """
 
-    def _verify(st: Dict[str, Any]) -> None:
+    def _signoff(st: Dict[str, Any]) -> None:
         tile = st["tile"]
-        st[out] = verify_design(
+        believed = st[believed_key] if believed_key is not None else None
+        with span("signoff"):
+            st["signoff"] = _sta_stage(
+                tile.netlist, tile.library, st.pop("_slow"), st.pop("_typical"),
+                st["clock_tree"], options, believed=believed, post_opt=post_opt,
+            )
+        if then is not None:
+            then(st)
+        st["drc"] = verify_design(
             tile.netlist, st[placement_key], st[fp_key], st["grid"],
             st["routed"], st["assignment"],
             die1_cells=die1_cells_fn(st) if die1_cells_fn is not None else None,
             die1_macros=die1_macros_fn(st) if die1_macros_fn is not None else None,
             flow=flow, design=tile.netlist.name,
         )
-        if extra is not None:
-            extra(st)
 
-    chain.run("verify", _verify, flow=flow)
+    chain.run("sta", _signoff,
+              sizing_iterations=options.sizing_iterations,
+              target_frequency_mhz=options.target_frequency_mhz,
+              constraints=options.constraints, post_opt=post_opt, flow=flow)
 
 
 # -- summary -----------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.floorplan.macro_placer import (
 )
 from repro.netlist.openpiton import Tile, TileConfig
 from repro.obs import span
-from repro.tech.layers import CutLayer, Layer, LayerStack, RoutingLayer
+from repro.tech.layers import LayerStack, RoutingLayer
 from repro.tech.presets import hk28, hk28_macro_die
 from repro.tech.technology import Technology
 
@@ -113,14 +113,6 @@ def run_flow_c2d(
             out_ports="_pseudo_ports", inflate=INFLATE,
         )
     pseudo_stack = scaled_parasitics_stack(logic.stack, 1.0 / INFLATE)
-    with span("pseudo_route"):
-        chained_route(
-            chain, placement_key="pseudo_placement", fp_key="pseudo_fp",
-            stack_fn=lambda st: pseudo_stack, options=options,
-            prefix="pseudo_", obstruction_fraction=0.5,
-            out_grid="_pseudo_grid", out_routed="pseudo_routed",
-            out_assign="pseudo_assignment", keep_grid=False,
-        )
 
     def _pseudo_extract(st):
         with span("pseudo_extract"):
@@ -137,7 +129,16 @@ def run_flow_c2d(
                 mapped.y[inst.id] = st["pseudo_placement"].y[inst.id] / INFLATE
         st["mapped"] = mapped
 
-    chain.run("pseudo_extract", _pseudo_extract)
+    # The pseudo extraction and mapping have no knobs of their own, so
+    # they end the pseudo route stage.
+    chained_route(
+        chain, placement_key="pseudo_placement", fp_key="pseudo_fp",
+        stack_fn=lambda st: pseudo_stack, options=options,
+        prefix="pseudo_", span_name="pseudo_route",
+        obstruction_fraction=0.5, out_routed="pseudo_routed",
+        out_assign="pseudo_assignment", keep_grid=False,
+        then=_pseudo_extract,
+    )
 
     # -- stage 2: shared tail, with C2D's post-tier optimization ----------------
     final = finalize_two_die(

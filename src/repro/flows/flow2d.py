@@ -17,7 +17,6 @@ from repro.flows.base import (
     chained_place,
     chained_route,
     chained_signoff,
-    chained_verify,
     collector_paused,
     seed_tile,
     summarize_flow,
@@ -64,15 +63,13 @@ def run_flow_2d(
     with span("place"):
         chained_place(chain, fp_key="floorplan", row_height=tech.row_height,
                       options=options)
-    with span("route"):
-        chained_route(chain, placement_key="placement", fp_key="floorplan",
-                      stack_fn=lambda st: tech.stack, options=options)
+    chained_route(chain, placement_key="placement", fp_key="floorplan",
+                  stack_fn=lambda st: tech.stack, options=options)
     chained_cts(chain, placement_key="placement", fp_key="floorplan",
-                stack_fn=lambda st: tech.stack, options=options)
-    with span("signoff"):
-        chained_signoff(chain, technology=tech, options=options)
-    chained_verify(chain, placement_key="placement", fp_key="floorplan",
-                   flow="2d")
+                stack_fn=lambda st: tech.stack, technology=tech,
+                options=options)
+    chained_signoff(chain, placement_key="placement", fp_key="floorplan",
+                    flow="2d", options=options)
 
     st = chain.state
     netlist = st["tile"].netlist

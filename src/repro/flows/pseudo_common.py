@@ -13,34 +13,30 @@ the real two-die stack through the same tail:
 5. sign-off with the optimization choices made on the pseudo design
    (frozen for S2D; re-optimized once for C2D).
 
-The tail walks a :class:`~repro.cache.StageChain`, so with an active
-cache each step is a content-addressed checkpoint (``tier_partition``,
-``overlap_fix``, ``f2f_plan``, ``reroute_*``, ``cts``, ``extract``,
-``sta``, ``verify``) and an edited knob resumes from the deepest
-reusable one.
+The tail walks a :class:`~repro.cache.StageChain` with one checkpoint
+per knob boundary: ``tier_partition`` (partitioning, overlap fixing and
+F2F planning; only the partition mode is a knob), ``reroute_global_route``
+(re-route and layer assignment), ``cts`` (CTS and extraction) and
+``sta`` (optimization, STA, power and verification).  With an active
+cache an edited knob resumes from the checkpoint right before its stage.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
-
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
+from typing import Dict, Set
 
 from repro.cache import StageChain
 from repro.cells.macro import Macro
 from repro.cells.stdcell import StdCell
 from repro.drc.connectivity import count_die_crossing_opens
 from repro.drc.geometry import check_placement
-from repro.extract.rc import DesignParasitics
 from repro.flows.base import (
     FlowOptions,
     FlowResult,
     chained_cts,
     chained_route,
     chained_signoff,
-    chained_verify,
     summarize_flow,
 )
 from repro.floorplan.floorplan import Floorplan
@@ -50,7 +46,7 @@ from repro.netlist.core import Netlist
 from repro.netlist.openpiton import Tile
 from repro.obs import count, observe, span
 from repro.place.global_place import Placement
-from repro.place.legalize import LegalizeResult, legalize
+from repro.place.legalize import legalize
 from repro.tech.beol import MACRO_DIE_SUFFIX, merge_beol
 from repro.tech.technology import Technology
 from repro.tier.f2f_planner import plan_f2f_vias
@@ -181,7 +177,7 @@ def finalize_two_die(
         # Snapshot the pre-fix-up state: after tier assignment but before
         # overlap fixing and F2F planning, this is where the 2D result is
         # *not* valid in 3D — cells overlap macros on their die, and every
-        # cut net is still electrically open.  Audited in the verify stage
+        # cut net is still electrically open.  Audited after verification
         # once the final grid exists; the counts feed the EXPERIMENTS table.
         st["combined"] = combined
         st["partition"] = partition
@@ -191,8 +187,6 @@ def finalize_two_die(
         st["_prefix_3d_opens"] = count_die_crossing_opens(
             netlist, partition.assignment
         )
-
-    chain.run("tier_partition", _partition, mode=partition_mode)
 
     def _overlap_fix(st):
         netlist = st["tile"].netlist
@@ -225,8 +219,6 @@ def finalize_two_die(
         st["_displacement_total"] = displacement_total
         st["legalization"] = legal_results[0]
 
-    chain.run("overlap_fix", _overlap_fix)
-
     # F2F via planning (the flows' own estimate of the bump demand).
     def _f2f_plan(st):
         with span("f2f_plan"):
@@ -236,7 +228,14 @@ def finalize_two_die(
             count("planner_bumps", f2f_plan.total_bumps)
         st["f2f_plan"] = f2f_plan
 
-    chain.run("f2f_plan", _f2f_plan)
+    # Overlap fixing and F2F planning have no knobs of their own, so they
+    # run inside the tier_partition stage.
+    def _tier_partition(st):
+        _partition(st)
+        _overlap_fix(st)
+        _f2f_plan(st)
+
+    chain.run("tier_partition", _tier_partition, mode=partition_mode)
 
     # The second routing, on the true merged BEOL.  The layer edit and
     # BEOL merge replay inside the route stage on a cold resume.
@@ -246,26 +245,21 @@ def finalize_two_die(
             logic_tech.stack, macro_tech.stack, logic_tech.f2f
         )
 
-    with span("reroute"):
-        chained_route(
-            chain, placement_key="final", fp_key="combined",
-            stack_fn=lambda st: st["merged"].stack, options=options,
-            prefix="reroute_", merged_fn=lambda st: st["merged"],
-            technology=logic_tech, die1_fn=lambda st: st["die_cells"][1],
-            prepare=_edit_and_merge,
-        )
-    chained_cts(
+    chained_route(
         chain, placement_key="final", fp_key="combined",
         stack_fn=lambda st: st["merged"].stack, options=options,
+        prefix="reroute_", span_name="reroute",
+        merged_fn=lambda st: st["merged"], technology=logic_tech,
+        die1_fn=lambda st: st["die_cells"][1], prepare=_edit_and_merge,
+    )
+    chained_cts(
+        chain, placement_key="final", fp_key="combined",
+        stack_fn=lambda st: st["merged"].stack, technology=logic_tech,
+        options=options,
         macro_die_fn=lambda st: (
             st["die_cells"][1] | set(st["die1_fp"].macro_placements)
         ),
     )
-    with span("signoff"):
-        chained_signoff(
-            chain, technology=logic_tech, options=options,
-            believed_key="believed", post_opt=post_opt,
-        )
 
     def _prefix_audit(st):
         st["_prefix_placement"] = check_placement(
@@ -274,11 +268,12 @@ def finalize_two_die(
             set(st["die1_fp"].macro_placements),
         )
 
-    chained_verify(
+    chained_signoff(
         chain, placement_key="final", fp_key="combined", flow=flow_name,
+        options=options, believed_key="believed", post_opt=post_opt,
         die1_cells_fn=lambda st: st["die_cells"][1],
         die1_macros_fn=lambda st: set(st["die1_fp"].macro_placements),
-        extra=_prefix_audit,
+        then=_prefix_audit,
     )
 
     st = chain.state

@@ -104,16 +104,6 @@ def run_flow_s2d(
             out_placement="pseudo_placement", out_legal=None,
             out_ports="_pseudo_ports", prepare=_shrink, shrink=SHRINK,
         )
-    # Pseudo routing sees one die's BEOL; macros obstruct it at 50 %
-    # (each macro exists in only one die of the future stack).
-    with span("pseudo_route"):
-        chained_route(
-            chain, placement_key="pseudo_placement", fp_key="pseudo_fp",
-            stack_fn=lambda st: logic.stack, options=options,
-            prefix="pseudo_", obstruction_fraction=0.5,
-            out_grid="_pseudo_grid", out_routed="pseudo_routed",
-            out_assign="pseudo_assignment", keep_grid=False,
-        )
 
     def _pseudo_extract(st):
         with span("pseudo_extract"):
@@ -123,7 +113,17 @@ def run_flow_s2d(
             )
         restore_std_cells(st["tile"].netlist, st.pop("_originals"))
 
-    chain.run("pseudo_extract", _pseudo_extract)
+    # Pseudo routing sees one die's BEOL; macros obstruct it at 50 %
+    # (each macro exists in only one die of the future stack).  The
+    # pseudo extraction has no knobs of its own, so it ends that stage.
+    chained_route(
+        chain, placement_key="pseudo_placement", fp_key="pseudo_fp",
+        stack_fn=lambda st: logic.stack, options=options,
+        prefix="pseudo_", span_name="pseudo_route",
+        obstruction_fraction=0.5, out_routed="pseudo_routed",
+        out_assign="pseudo_assignment", keep_grid=False,
+        then=_pseudo_extract,
+    )
 
     # -- stage 2: partition, fix overlaps, plan bumps, re-route, sign off ------
     final = finalize_two_die(

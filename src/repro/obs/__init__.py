@@ -33,6 +33,7 @@ from repro.obs.trace import (
     SpanRecord,
     active_recorder,
     annotate,
+    opened_spans,
     recording,
     span,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "load_trace",
     "mark",
     "observe",
+    "opened_spans",
     "replay_journal",
     "profile_call",
     "read_events",

@@ -260,6 +260,24 @@ def annotate(**attrs: Any) -> None:
 
 
 @contextmanager
+def opened_spans() -> Iterator[List[SpanRecord]]:
+    """Yield a list that, on exit, holds the spans the block opened at
+    its top level (empty when tracing is off)."""
+    opened: List[SpanRecord] = []
+    recorder = _ACTIVE
+    if recorder is None:
+        yield opened
+        return
+    parent = recorder.current()
+    siblings = parent.children if parent is not None else recorder.roots
+    start = len(siblings)
+    try:
+        yield opened
+    finally:
+        opened.extend(siblings[start:])
+
+
+@contextmanager
 def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
     """Install a recorder for the duration of the block.
 

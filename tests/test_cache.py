@@ -8,7 +8,7 @@ the dict/set insertion order) and sensitivity (fault-injection style:
 perturb one knob, one netlist bit, or one upstream key and the key
 must move).  On top of that: store round trips (including the
 deep-object-graph pickling regression), the StageChain hit/miss/replay
-protocol on a synthetic three-stage flow, the spawn-platform serial
+protocol on a synthetic two-stage flow, the spawn-platform serial
 fallback of ``bench run --jobs``, and one real 2D flow run proving a
 warm repeat is all hits with byte-identical QoR counters.  Damaged or
 raced entries (truncated pickle, sidecar without its pickle, foreign
@@ -342,8 +342,12 @@ class TestStore:
         assert resolve_cache_dir(None).endswith(os.path.join(".cache", "repro"))
 
 
-def _three_stage_chain(flow_inputs, knobs):
-    """One synthetic flow run: seed -> transform -> reduce."""
+def _two_stage_chain(flow_inputs, knobs):
+    """One synthetic flow run: seed -> transform (which also reduces).
+
+    ``reduce`` has no knob of its own, so it runs inside ``transform``:
+    one checkpoint per knob boundary.
+    """
     chain = StageChain.begin("toy", **flow_inputs)
 
     def seed(st):
@@ -354,14 +358,11 @@ def _three_stage_chain(flow_inputs, knobs):
     def transform(st):
         observe("toy_scale", float(knobs["scale"]))
         st["scaled"] = [v * knobs["scale"] for v in st["values"]]
-
-    def reduce_(st):
         count("toy_reduced", 1)
         st["total"] = sum(st["scaled"])
 
     chain.run("seed", seed)
     chain.run("transform", transform, scale=knobs["scale"])
-    chain.run("reduce", reduce_)
     return chain
 
 
@@ -370,25 +371,37 @@ class TestStageChain:
 
     def test_null_chain_without_ambient_cache(self):
         assert active_cache() is None
-        chain = _three_stage_chain(self.INPUTS, {"scale": 3})
+        chain = _two_stage_chain(self.INPUTS, {"scale": 3})
         assert not chain.enabled
         assert chain.key == ""
         assert chain.state["total"] == 135
-        assert [kind for _, kind in chain.stages] == ["computed"] * 3
+        assert [kind for _, kind in chain.stages] == ["computed"] * 2
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_knobless_stage_after_the_first_is_rejected(
+        self, cached, tmp_path
+    ):
+        cache = StageCache(str(tmp_path)) if cached else None
+        with caching(cache):
+            chain = StageChain.begin("toy", **self.INPUTS)
+            chain.run("seed", lambda st: st.update(values=[1, 2]))
+            chain.run("transform", lambda st: None, scale=2)
+            with pytest.raises(ValueError, match="'reduce'"):
+                chain.run("reduce", lambda st: None)
 
     def test_cold_then_warm_then_edited(self, tmp_path):
         with caching(StageCache(str(tmp_path))):
             with recording() as rec:
-                cold = _three_stage_chain(self.INPUTS, {"scale": 3})
+                cold = _two_stage_chain(self.INPUTS, {"scale": 3})
             cold_trace = FlowTrace.from_recorder(rec)
-            assert (cold.hits, cold.misses) == (0, 3)
+            assert (cold.hits, cold.misses) == (0, 2)
             assert cold.state["total"] == 135
 
             with recording() as rec:
-                warm = _three_stage_chain(self.INPUTS, {"scale": 3})
+                warm = _two_stage_chain(self.INPUTS, {"scale": 3})
             warm_trace = FlowTrace.from_recorder(rec)
-            assert (warm.hits, warm.misses) == (3, 0)
-            assert [kind for _, kind in warm.stages] == ["hit"] * 3
+            assert (warm.hits, warm.misses) == (2, 0)
+            assert [kind for _, kind in warm.stages] == ["hit"] * 2
             # One lazy unpickle of the deepest checkpoint reproduces the
             # cumulative state...
             assert warm.state["total"] == 135
@@ -397,31 +410,29 @@ class TestStageChain:
             assert warm_trace.counters["toy_reduced"] == 1
             assert (warm_trace.histograms["toy_scale"].to_dict()
                     == cold_trace.histograms["toy_scale"].to_dict())
-            assert warm_trace.counters["cache_hit"] == 3
-            assert cold_trace.counters["cache_miss"] == 3
-            assert cold_trace.counters["cache_store"] == 3
+            assert warm_trace.counters["cache_hit"] == 2
+            assert cold_trace.counters["cache_miss"] == 2
+            assert cold_trace.counters["cache_store"] == 2
 
             # A knob edit keeps the upstream checkpoint and recomputes
             # only from the edited stage on.
-            edited = _three_stage_chain(self.INPUTS, {"scale": 5})
-            assert [kind for _, kind in edited.stages] == [
-                "hit", "miss", "miss"
-            ]
+            edited = _two_stage_chain(self.INPUTS, {"scale": 5})
+            assert [kind for _, kind in edited.stages] == ["hit", "miss"]
             assert edited.state["total"] == 225
 
     def test_run_level_inputs_partition_the_cache(self, tmp_path):
         with caching(StageCache(str(tmp_path))):
-            _three_stage_chain(self.INPUTS, {"scale": 3})
-            other = _three_stage_chain({"config": "largecache"}, {"scale": 3})
-            assert (other.hits, other.misses) == (0, 3)
+            _two_stage_chain(self.INPUTS, {"scale": 3})
+            other = _two_stage_chain({"config": "largecache"}, {"scale": 3})
+            assert (other.hits, other.misses) == (0, 2)
 
     def test_hit_spans_are_tagged(self, tmp_path):
         with caching(StageCache(str(tmp_path))):
-            _three_stage_chain(self.INPUTS, {"scale": 3})
+            _two_stage_chain(self.INPUTS, {"scale": 3})
             with recording() as rec:
-                _three_stage_chain(self.INPUTS, {"scale": 3})
+                _two_stage_chain(self.INPUTS, {"scale": 3})
         spans = FlowTrace.from_recorder(rec).spans
-        assert [s.name for s in spans] == ["seed", "transform", "reduce"]
+        assert [s.name for s in spans] == ["seed", "transform"]
         assert all(s.attrs.get("cache") == "hit" for s in spans)
 
 
@@ -430,12 +441,15 @@ class TestFlowWarmRepeat:
     a chain of hits and its QoR counters match the cold run's."""
 
     OPTIONS = FlowOptions(sizing_iterations=1)
+    #: build_tile, floorplan, global_place, legalize, global_route, cts, sta.
+    STAGES = 7
 
     @classmethod
-    def _run(cls):
+    def _run(cls, options=None):
         with recording() as rec:
             result = run_flow_2d(
-                small_cache_config(), scale=0.01, options=cls.OPTIONS
+                small_cache_config(), scale=0.01,
+                options=options or cls.OPTIONS,
             )
         return result, FlowTrace.from_recorder(
             rec, flow=result.flow, design=result.design
@@ -453,9 +467,9 @@ class TestFlowWarmRepeat:
         cache_dir, cold, cold_trace = cold
         with caching(StageCache(cache_dir)):
             warm, warm_trace = self._run()
-        assert warm_trace.counters["cache_hit"] == 10
+        assert warm_trace.counters["cache_hit"] == self.STAGES
         assert "cache_miss" not in warm_trace.counters
-        assert cold_trace.counters["cache_miss"] == 10
+        assert cold_trace.counters["cache_miss"] == self.STAGES
         assert warm.summary.as_row() == cold.summary.as_row()
 
         def qor_counters(trace):
@@ -464,6 +478,34 @@ class TestFlowWarmRepeat:
 
         assert qor_counters(warm_trace) == qor_counters(cold_trace)
         assert warm_trace.gauges == cold_trace.gauges
+        assert ([s.name for s in warm_trace.spans]
+                == [s.name for s in cold_trace.spans])
+
+    def test_sizing_edit_stores_one_checkpoint(self, cold, tmp_path,
+                                               monkeypatch):
+        """A signoff knob edit resumes from the cts checkpoint: one
+        miss, one store, one load, and the uncached run's QoR."""
+        cache_dir = str(tmp_path / "cache")
+        shutil.copytree(cold[0], cache_dir)
+        loads = []
+        load_state = StageCache.load_state
+
+        def spy(cache, key):
+            loads.append(key)
+            return load_state(cache, key)
+
+        monkeypatch.setattr(StageCache, "load_state", spy)
+        edited = FlowOptions(sizing_iterations=2)
+        with caching(StageCache(cache_dir)):
+            result, trace = self._run(edited)
+        assert trace.counters["cache_miss"] == 1
+        assert trace.counters["cache_store"] == 1
+        assert trace.counters["cache_hit"] == self.STAGES - 1
+        assert len(loads) == 1
+        uncached, uncached_trace = self._run(edited)
+        assert result.summary.as_row() == uncached.summary.as_row()
+        assert ([s.name for s in trace.spans]
+                == [s.name for s in uncached_trace.spans])
 
     def test_truncated_checkpoint_is_a_cache_error(self, cold, tmp_path):
         cache_dir = str(tmp_path / "cache")

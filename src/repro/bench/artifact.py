@@ -6,7 +6,8 @@ Schema ``repro.bench/v1``:
 
 - **identity** — scenario name, flow, cache config, size, scale;
 - **runtime** — per-stage wall seconds and peak RSS (``null`` where the
-  platform can't sample it) from the FlowTrace root spans, plus totals;
+  platform can't sample it) from the FlowTrace root spans, the peak
+  RSS, and ``wall_s_total``, the recording's whole wall time;
 - **observability** — the trace's counters, gauges, and histogram
   summaries (count/sum/min/max/mean/p50/p95/p99);
 - **ppa** — the paper-style sign-off numbers of :class:`PPASummary`
@@ -128,7 +129,7 @@ class BenchArtifact:
             scale=scale,
             design=result.design,
             stages=stages,
-            wall_s_total=trace.total_duration_s(),
+            wall_s_total=trace.wall_s,
             peak_rss_kb=max(rss_values) if rss_values else None,
             counters=dict(trace.counters),
             gauges=dict(trace.gauges),

@@ -1,7 +1,8 @@
 """Execute bench scenarios and write their artifacts.
 
 ``run_scenario`` runs one scenario under a fresh ``repro.obs``
-recording and returns the in-memory results; ``write_benchmark`` adds
+recording (and, on request, a live event stream inside it) and returns
+the in-memory results; ``write_benchmark`` adds
 the on-disk products: the ``BENCH_<scenario>.json`` artifact plus the
 two QoR signoff SVGs next to it (``BENCH_<scenario>.congestion.svg``,
 ``BENCH_<scenario>.slack.svg``) and, with ``profile=True``, the
@@ -26,7 +27,8 @@ marks), every event tagged with its scenario, so the single JSONL file
 shows per-scenario, per-stage progress *while* scenarios overlap;
 ``history_path`` appends one ``repro.obs.history/v1`` record per
 completed scenario; ``perfetto=True`` writes a Chrome trace-event
-export (``BENCH_<scenario>.perfetto``) next to each artifact.
+export (``BENCH_<scenario>.perfetto``) of the job's own event stream
+next to each artifact.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from repro.cache import caching, get_cache
 from repro.flows.base import FlowResult
 from repro.obs import FlowTrace, profile_call, recording
 from repro.obs.events import DEFAULT_HEARTBEAT_S, event_sink, streaming
-from repro.obs.export import chrome_trace_from_flowtrace, write_chrome_trace
+from repro.obs.export import chrome_trace_from_events, write_chrome_trace
 from repro.obs.history import (
     append_history,
     git_revision,
@@ -89,11 +91,29 @@ class BenchFailure:
     traceback: str = ""
 
 
+#: A live event writer: receives one event dict per call.
+EventWriter = Callable[[Dict[str, Any]], None]
+
+
 def run_scenario(
     scenario: Scenario,
+    write: Optional[EventWriter] = None,
+    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
 ) -> Tuple[BenchArtifact, FlowResult, FlowTrace]:
-    """Run one scenario traced and package the artifact."""
-    with recording() as recorder:
+    """Run one scenario traced and package the artifact.
+
+    ``write`` (when given) receives the run's live event stream, every
+    event tagged with the scenario name.  The stream runs inside the
+    recording, so its ``run_end`` footer carries the final counter
+    deltas, gauges and histograms.
+    """
+    stream_cm = (
+        streaming(write, heartbeat_s=heartbeat_s,
+                  base={"scenario": scenario.name})
+        if write is not None
+        else nullcontext()
+    )
+    with recording() as recorder, stream_cm:
         result = scenario.run()
     trace = FlowTrace.from_recorder(
         recorder, flow=result.flow, design=result.design
@@ -116,21 +136,33 @@ def write_benchmark(
     svg: bool = True,
     profile: bool = False,
     perfetto: bool = False,
+    write: Optional[EventWriter] = None,
+    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
 ) -> Tuple[BenchArtifact, List[str]]:
     """Run a scenario and write its artifact (+ visuals) into ``out_dir``.
 
     Returns the artifact and the list of files written, artifact first.
+    ``write`` receives the live event stream (see :func:`run_scenario`).
     ``profile=True`` additionally runs the scenario under cProfile and
     writes the cumulative-time report next to the artifact;
-    ``perfetto=True`` writes the FlowTrace as a Chrome trace-event file
-    loadable in Perfetto/chrome://tracing.
+    ``perfetto=True`` also keeps the run's own event stream and writes
+    it as a Chrome trace-event file loadable in Perfetto/chrome://tracing.
     """
+    events: List[Dict[str, Any]] = []
+    if perfetto:
+        forward = write
+
+        def write(event: Dict[str, Any]) -> None:
+            events.append(event)
+            if forward is not None:
+                forward(event)
+
     if profile:
         (artifact, result, trace), report = profile_call(
-            run_scenario, scenario
+            run_scenario, scenario, write, heartbeat_s
         )
     else:
-        artifact, result, trace = run_scenario(scenario)
+        artifact, result, trace = run_scenario(scenario, write, heartbeat_s)
         report = None
     os.makedirs(out_dir, exist_ok=True)
     paths: List[str] = []
@@ -147,7 +179,7 @@ def write_benchmark(
         paths.append(profile_path)
     if perfetto:
         perfetto_path = os.path.join(out_dir, perfetto_filename(scenario.name))
-        write_chrome_trace(perfetto_path, chrome_trace_from_flowtrace(trace))
+        write_chrome_trace(perfetto_path, chrome_trace_from_events(events))
         paths.append(perfetto_path)
     if svg:
         visuals: Dict[str, str] = render_signoff_visuals(result)
@@ -168,7 +200,7 @@ def run_job(
     profile: bool = False,
     perfetto: bool = False,
     cache_dir: Optional[str] = None,
-    write: Optional[Callable[[Dict[str, Any]], None]] = None,
+    write: Optional[EventWriter] = None,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
 ) -> JobResult:
     """Run one scenario (a registered name, or the scenario itself).
@@ -191,18 +223,10 @@ def run_job(
             if cache_dir is not None
             else nullcontext()
         )
-        stream_cm = (
-            streaming(
-                write, heartbeat_s=heartbeat_s,
-                base={"scenario": scenario.name},
-            )
-            if write is not None
-            else nullcontext()
-        )
-        with cache_cm, stream_cm:
+        with cache_cm:
             artifact, paths = write_benchmark(
                 scenario, out_dir, svg=svg, profile=profile,
-                perfetto=perfetto,
+                perfetto=perfetto, write=write, heartbeat_s=heartbeat_s,
             )
     except Exception:
         return None, [], start, time.monotonic(), traceback.format_exc()

@@ -24,8 +24,9 @@ key.  The pickle is materialized lazily — on the first miss that
 actually needs upstream state, or when the flow reads :attr:`state` at
 the end.  A fully-warm run therefore costs one unpickle (the deepest
 checkpoint) plus journal replays.  A miss tags the compute's top-level
-spans ``cache="miss"`` and adds none, so a cached trace has the span
-tree of an uncached one.
+spans ``cache="miss"`` as they open (so the live event stream carries
+the tag too) and adds none, so a cached trace has the span tree of an
+uncached one.
 
 With no ambient cache (:func:`~repro.cache.store.active_cache` is
 None) every ``run()`` degrades to a plain function call: no hashing,
@@ -157,10 +158,9 @@ class StageChain:
         self.misses += 1
         started = time.perf_counter()
         count("cache_miss", 1)
-        with journaling() as journal, opened_spans() as spans:
+        with journaling() as journal, \
+                opened_spans(cache="miss", key=tag) as spans:
             facts = compute(self._state) or {}
-        for record in spans:
-            record.attrs.update(cache="miss", key=tag)
         self._cache.store(
             self._key,
             self._state,

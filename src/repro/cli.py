@@ -7,14 +7,12 @@ for first.
 Commands::
 
     python -m repro run --flow macro3d --config small --scale 0.04
-    python -m repro run --flow macro3d --trace-out run.json --quiet
     python -m repro run --flow macro3d --profile
-    python -m repro run --flow macro3d --events-out run.events.jsonl
+    python -m repro run --flow macro3d --events-out run.events.jsonl --quiet
     python -m repro run --flow macro3d --cache
     python -m repro run --flow macro3d --cache-dir /tmp/repro-cache
     python -m repro run --flow macro3d_m4 --config large
-    python -m repro trace run.json
-    python -m repro trace run.json --chrome run.perfetto
+    python -m repro trace run.events.jsonl
     python -m repro trace run.events.jsonl --chrome run.perfetto
     python -m repro dash --history benchmarks/history.jsonl --out dash.html
     python -m repro bench list
@@ -45,7 +43,7 @@ from repro.bench.baseline import DEFAULT_BASELINE_DIR
 from repro.bench.scenarios import CONFIGS, FLOW_RUNNERS, SIZES
 from repro.flows.base import FlowResult
 from repro.netlist.openpiton import TileConfig
-from repro.obs import FlowTrace, format_trace, load_trace, recording
+from repro.obs import fold_events, format_trace, recording
 from repro.obs.events import DEFAULT_HEARTBEAT_S
 from repro.obs.history import DEFAULT_HISTORY_PATH
 
@@ -83,8 +81,6 @@ def _cache_context(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
     from repro.obs import profile_call
     from repro.obs.events import streaming
 
@@ -96,7 +92,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 result, report = profile_call(
                     runner, _config(args.config), scale=args.scale
                 )
-                profile_out = (args.trace_out or "run") + ".profile.txt"
+                profile_out = (args.events_out or "run") + ".profile.txt"
                 with open(profile_out, "w", encoding="utf-8") as handle:
                     handle.write(report)
                 # --quiet suppresses the progress/summary stream, not the
@@ -107,24 +103,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                 return result
             return runner(_config(args.config), scale=args.scale)
 
-    if args.trace_out or args.events_out:
-        # Span events only stream while a recorder is live, so
-        # --events-out implies a recording even without --trace-out.
-        stream_cm = (
-            streaming(args.events_out) if args.events_out else nullcontext()
-        )
-        with recording() as recorder:
-            with stream_cm:
-                result = execute()
-        if args.trace_out:
-            trace = FlowTrace.from_recorder(
-                recorder, flow=result.flow, design=result.design
-            )
-            with open(args.trace_out, "w", encoding="utf-8") as handle:
-                handle.write(trace.to_json())
-            if not args.quiet:
-                print(f"trace written to {args.trace_out}")
-        if args.events_out and not args.quiet:
+    if args.events_out:
+        # Span events only stream while a recorder is live; the stream
+        # runs inside it so its footer carries the final metrics.
+        with recording(), streaming(args.events_out):
+            result = execute()
+        if not args.quiet:
             print(f"events streamed to {args.events_out}")
     else:
         result = execute()
@@ -134,40 +118,24 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    import json
+    from repro.obs.events import read_events
+    from repro.obs.export import chrome_trace_from_events, write_chrome_trace
 
-    from repro.obs.events import is_event_stream, read_events
-    from repro.obs.export import (
-        chrome_trace_from_events,
-        chrome_trace_from_flowtrace,
-        write_chrome_trace,
-    )
-
-    # One command, two on-disk formats: a FlowTrace JSON document or a
-    # live-events JSONL stream.  Sniff by parsing — a FlowTrace file is
-    # one JSON object, an events file is one object per line whose
-    # header carries the events schema.
     events = read_events(args.path)
-    if is_event_stream(events):
-        if not args.chrome:
-            raise SystemExit(
-                f"{args.path} is a live event stream "
-                "(repro.obs.events/v1); pass --chrome OUT to convert it"
-            )
+    try:
+        traces = fold_events(events)
+    except ValueError as exc:
+        raise SystemExit(f"{args.path}: {exc}")
+    if args.chrome:
         write_chrome_trace(args.chrome, chrome_trace_from_events(events))
         print(f"chrome trace written to {args.chrome} "
               f"({len(events)} events)")
         return 0
-    try:
-        trace = load_trace(args.path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"{args.path}: not a FlowTrace or event stream "
-                         f"({exc})")
-    if args.chrome:
-        write_chrome_trace(args.chrome, chrome_trace_from_flowtrace(trace))
-        print(f"chrome trace written to {args.chrome}")
-        return 0
-    print(format_trace(trace))
+    # One stage table per run; a bench stream holds one per scenario.
+    for scenario, trace in traces.items():
+        if scenario:
+            print(f"== {scenario} ==")
+        print(format_trace(trace))
     return 0
 
 
@@ -713,18 +681,16 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(FLOW_RUNNERS),
                        help="bf_s2d is S2D on the balanced floorplan; "
                             "macro3d_m4 is Macro-3D on a 4-metal macro die")
-    run_p.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="record a FlowTrace of the run to this JSON file")
     run_p.add_argument("--events-out", metavar="PATH", default=None,
                        help="stream live repro.obs.events/v1 JSONL "
                             "(span open/close, heartbeats, marks) to this "
                             "file during the run; tail -f friendly")
     run_p.add_argument("--profile", action="store_true",
                        help="run under cProfile and write the top-25 "
-                            "cumulative report next to the trace")
+                            "cumulative report next to the event stream")
     run_p.add_argument("--quiet", action="store_true",
-                       help="suppress the summary dump (bench drivers still "
-                            "get --trace-out)")
+                       help="suppress the summary dump (the --events-out "
+                            "stream is still written)")
     add_cache_flags(run_p)
     common(run_p)
     run_p.set_defaults(handler=cmd_run)
@@ -753,11 +719,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr_p = sub.add_parser(
         "trace",
-        help="print a recorded FlowTrace, or export traces/event "
-             "streams to Chrome trace-event JSON",
+        help="print the stage table of a recorded event stream, or "
+             "export it to Chrome trace-event JSON",
     )
-    tr_p.add_argument("path", help="a --trace-out JSON file or an "
-                                   "--events-out JSONL stream")
+    tr_p.add_argument("path", help="an --events-out JSONL stream")
     tr_p.add_argument("--chrome", metavar="OUT", default=None,
                       help="convert to Chrome trace-event JSON loadable "
                            "in Perfetto / chrome://tracing")

@@ -1,4 +1,4 @@
-"""Flow observability: spans, counters, and FlowTrace reports.
+"""Flow observability: spans, counters, event streams and FlowTraces.
 
 The subsystem answers one question for every flow run: *where is
 wall-clock and quality won or lost?*  It is built around a single
@@ -11,17 +11,19 @@ process-global recorder slot:
   timed span (wall time + peak RSS + arbitrary attributes) and every
   counter/gauge/histogram lands in the recorder's registry.
 
-A completed recording serialises to the stable ``FlowTrace`` JSON schema
-(:mod:`repro.obs.report`), which ``python -m repro run --trace-out`` and
-``python -m repro trace`` expose from the command line.
+Around the recorder:
 
-Three sibling subsystems extend the post-mortem trace:
-
-- :mod:`repro.obs.events` — a live JSONL event stream
+- :mod:`repro.obs.events` — the live JSONL event stream
   (``repro.obs.events/v1``) emitted *during* a run: span open/close,
-  heartbeats with RSS + counter deltas, instant marks;
-- :mod:`repro.obs.export` — lossless conversion of FlowTraces and
-  event streams to Chrome trace-event JSON (Perfetto-loadable);
+  heartbeats with RSS + counter deltas, instant marks, and a footer
+  with the final gauges and histograms.  It is the only serialized
+  trace: ``python -m repro run --events-out`` writes it and
+  ``python -m repro trace`` reads it back;
+- :mod:`repro.obs.report` — the in-memory ``FlowTrace`` (span tree +
+  metrics + wall time), taken from a live recorder or folded from a
+  stream (:func:`fold_events`), and its stage table;
+- :mod:`repro.obs.export` — the one Chrome trace-event exporter
+  (Perfetto-loadable), which reads event streams;
 - :mod:`repro.obs.history` — the cross-run metrics store
   (``repro.obs.history/v1``) behind ``repro dash`` and
   ``bench compare --trend``.
@@ -46,12 +48,7 @@ from repro.obs.metrics import (
     observe,
     replay_journal,
 )
-from repro.obs.report import (
-    FLOWTRACE_SCHEMA,
-    FlowTrace,
-    format_trace,
-    load_trace,
-)
+from repro.obs.report import FlowTrace, fold_events, format_trace
 from repro.obs.profile import profile_call
 from repro.obs.events import (
     EVENTS_SCHEMA,
@@ -76,7 +73,6 @@ __all__ = [
     "DEFAULT_HISTORY_PATH",
     "EVENTS_SCHEMA",
     "EventStream",
-    "FLOWTRACE_SCHEMA",
     "FlowTrace",
     "HISTORY_SCHEMA",
     "HistogramStats",
@@ -90,11 +86,11 @@ __all__ = [
     "annotate",
     "append_history",
     "count",
+    "fold_events",
     "format_trace",
     "gauge",
     "journaling",
     "load_history",
-    "load_trace",
     "mark",
     "observe",
     "opened_spans",

@@ -1,9 +1,9 @@
-"""Live event streaming: an append-only JSONL feed of a running flow.
+"""Live event streaming: the one on-disk trace format of a flow run.
 
-Where a :class:`~repro.obs.report.FlowTrace` is *post-mortem* (it exists
-only after the recording ends), the event stream is emitted **during**
-the run and flushed line-by-line, so ``tail -f`` (or a future serve
-layer) can watch a 30-minute large-tier run live.  Schema
+The stream is emitted **during** the run and flushed line-by-line, so
+``tail -f`` (or a future serve layer) can watch a 30-minute large-tier
+run live; folded afterwards (:func:`repro.obs.report.fold_events`) it
+gives back the run's :class:`~repro.obs.report.FlowTrace`.  Schema
 ``repro.obs.events/v1``: every line is one self-contained JSON object
 with at least ``type`` and ``t`` (seconds since the stream's epoch):
 
@@ -16,20 +16,23 @@ with at least ``type`` and ``t`` (seconds since the stream's epoch):
     (``name``, ``depth``, ``attrs``; close adds ``dur_s`` + ``rss_kb``);
 ``heartbeat``
     periodic liveness sample from a daemon thread — wall offset, peak
-    RSS, and the **deltas** of every counter that moved since the last
-    beat (hot paths keep calling :func:`~repro.obs.metrics.count`
-    unchanged; the stream aggregates, so streaming costs nothing on the
-    inner loops);
+    RSS, and the **deltas** of every counter that moved (or first
+    appeared, even at 0) since the last beat (hot paths keep calling
+    :func:`~repro.obs.metrics.count` unchanged; the stream aggregates,
+    so streaming costs nothing on the inner loops);
 ``mark``
     an instant milestone (:func:`mark`) such as "placement legalized";
 ``run_end``
-    stream footer with the total duration and final RSS.
+    stream footer: final RSS, the last counter deltas, and the final
+    ``gauges`` and ``histograms`` summaries (:meth:`HistogramStats.to_dict`).
+    Its ``t`` is the stream's total duration.
 
 The same zero-cost-when-disabled contract as spans holds: with no
 stream installed, :func:`mark` is one global load, and the span hooks
 in :mod:`repro.obs.trace` check a single module slot.  Span events are
 only emitted while a recorder is active (every streamed entry point —
-``repro run --events-out``, ``bench run --events-out`` — records).
+``repro run --events-out``, ``bench run --events-out`` — records, and
+opens the stream inside the recording so the footer sees its metrics).
 """
 
 from __future__ import annotations
@@ -161,10 +164,11 @@ class EventStream:
         if recorder is None:
             return {}
         now = recorder.metrics.counters_snapshot()
+        last = self._last_counters
         deltas = {
-            name: value - self._last_counters.get(name, 0.0)
+            name: value - last.get(name, 0.0)
             for name, value in now.items()
-            if value != self._last_counters.get(name, 0.0)
+            if name not in last or value != last[name]
         }
         self._last_counters = now
         return deltas
@@ -198,10 +202,14 @@ class EventStream:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
+        recorder = _trace._ACTIVE
+        metrics = recorder.metrics.to_dict() if recorder is not None else {}
         self.emit(
             "run_end",
             rss_kb=_peak_rss_kb(),
             counters=self._counter_deltas(),
+            gauges=metrics.get("gauges", {}),
+            histograms=metrics.get("histograms", {}),
         )
 
 
@@ -271,9 +279,3 @@ def read_events(path: str) -> list:
             except json.JSONDecodeError:
                 break
     return events
-
-
-def is_event_stream(events: list) -> bool:
-    """True when a parsed JSONL list looks like a ``repro.obs.events``
-    stream (used by ``repro trace`` to pick the right converter)."""
-    return bool(events) and events[0].get("schema") == EVENTS_SCHEMA

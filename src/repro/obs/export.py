@@ -1,15 +1,12 @@
-"""Chrome trace-event export: FlowTraces and event streams in Perfetto.
+"""Chrome trace-event export of ``repro.obs.events/v1`` streams.
 
-Both observability formats convert losslessly to the Chrome trace-event
-JSON that ``chrome://tracing`` and https://ui.perfetto.dev load:
-
-- :func:`chrome_trace_from_flowtrace` — the post-mortem span tree as
-  complete (``ph="X"``) events, counters/gauges as counter tracks,
-  histograms preserved under ``otherData``;
-- :func:`chrome_trace_from_events` — a live ``repro.obs.events/v1``
-  JSONL stream as begin/end (``ph="B"``/``"E"``) pairs with one process
-  per scenario and one track per thread/worker, heartbeat RSS and
-  counter deltas as counter tracks, marks as instants.
+:func:`chrome_trace_from_events` converts a live event stream (the one
+serialized trace format) to the Chrome trace-event JSON that
+``chrome://tracing`` and https://ui.perfetto.dev load: begin/end
+(``ph="B"``/``"E"``) pairs with one process per scenario and one track
+per thread/worker, marks as instants, heartbeat RSS plus running
+counter totals and the ``run_end`` gauges as counter tracks, and the
+``run_end`` histogram summaries under ``otherData``.
 
 Timestamps are microseconds (the trace-event unit); every emitted
 event carries the ``name``/``ph``/``pid``/``tid``/``ts`` quartet the
@@ -21,10 +18,9 @@ event model has no native track for.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.obs.report import FlowTrace
-from repro.obs.trace import SpanRecord
+from repro.obs.events import EVENTS_SCHEMA
 
 #: Document-level marker for round-trip checks and provenance.
 CHROME_TRACE_VERSION = "repro.obs.chrome/v1"
@@ -45,85 +41,12 @@ def _metadata(pid: int, tid: int, name: str, kind: str) -> Dict[str, Any]:
     }
 
 
-def _document(
-    events: List[Dict[str, Any]], source: str, other: Dict[str, Any]
-) -> Dict[str, Any]:
-    other = dict(other)
-    other["exporter"] = CHROME_TRACE_VERSION
-    other["source_schema"] = source
+def _counter(name: str, cat: str, ts: float, pid: int,
+             value: Any) -> Dict[str, Any]:
     return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": other,
+        "name": name, "cat": cat, "ph": "C",
+        "ts": ts, "pid": pid, "tid": 0, "args": {name: value},
     }
-
-
-# -- FlowTrace conversion ------------------------------------------------------------
-
-
-def _span_events(
-    record: SpanRecord, pid: int, tid: int, out: List[Dict[str, Any]]
-) -> None:
-    args: Dict[str, Any] = dict(record.attrs)
-    if record.peak_rss_kb is not None:
-        args["peak_rss_kb"] = record.peak_rss_kb
-    out.append({
-        "name": record.name,
-        "cat": "stage",
-        "ph": "X",
-        "ts": _us(record.start_s),
-        "dur": _us(record.duration_s),
-        "pid": pid,
-        "tid": tid,
-        "args": args,
-    })
-    for child in record.children:
-        _span_events(child, pid, tid, out)
-
-
-def chrome_trace_from_flowtrace(trace: FlowTrace) -> Dict[str, Any]:
-    """Convert a completed FlowTrace to a Chrome trace-event document.
-
-    The span tree lands on one track (FlowTraces do not record thread
-    identity; flows are single-threaded stage pipelines), counters and
-    gauges become single-sample counter tracks at the trace end, and
-    histogram summaries ride along in ``otherData`` — nothing in the
-    FlowTrace is dropped.
-    """
-    pid, tid = 1, 1
-    label = f"{trace.flow or '?'} on {trace.design or '?'}"
-    events: List[Dict[str, Any]] = [
-        _metadata(pid, 0, label, "process_name"),
-        _metadata(pid, tid, "flow", "thread_name"),
-    ]
-    for root in trace.spans:
-        _span_events(root, pid, tid, events)
-    end_ts = _us(trace.total_duration_s())
-    for name, value in sorted(trace.counters.items()):
-        events.append({
-            "name": name, "cat": "counter", "ph": "C",
-            "ts": end_ts, "pid": pid, "tid": tid, "args": {name: value},
-        })
-    for name, value in sorted(trace.gauges.items()):
-        events.append({
-            "name": name, "cat": "gauge", "ph": "C",
-            "ts": end_ts, "pid": pid, "tid": tid, "args": {name: value},
-        })
-    return _document(
-        events,
-        source="repro.obs.flowtrace/v1",
-        other={
-            "flow": trace.flow,
-            "design": trace.design,
-            "histograms": {
-                name: stats.to_dict()
-                for name, stats in sorted(trace.histograms.items())
-            },
-        },
-    )
-
-
-# -- event-stream conversion ---------------------------------------------------------
 
 
 class _TrackMap:
@@ -160,61 +83,54 @@ def chrome_trace_from_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
 
     One process per scenario (bench workers tag every event), one track
     per emitting thread, ``B``/``E`` pairs for spans, instants for
-    marks, and counter tracks for heartbeat RSS plus the running totals
-    of every counter delta the heartbeats carried.
+    marks, counter tracks for heartbeat RSS, the running totals of every
+    counter delta and the final gauges; ``otherData["histograms"]``
+    maps each process label to its ``run_end`` histogram summaries.
     """
     tracks = _TrackMap()
     body: List[Dict[str, Any]] = []
     totals: Dict[Tuple[str, str], float] = {}
+    histograms: Dict[str, Dict[str, Any]] = {}
     for event in events:
         kind = event.get("type")
         scenario = str(event.get("scenario", ""))
         ts = _us(float(event.get("t", 0.0)))
-        if kind in ("span_open", "span_close"):
-            pid = tracks.pid(scenario)
-            tid = tracks.tid(scenario, event.get("tid", 0))
-            body.append({
+        if kind in ("span_open", "span_close", "mark"):
+            entry = {
                 "name": event.get("name", "?"),
                 "cat": "stage",
-                "ph": "B" if kind == "span_open" else "E",
-                "ts": ts,
-                "pid": pid,
-                "tid": tid,
-                "args": dict(event.get("attrs", {})),
-            })
-        elif kind == "mark":
-            body.append({
-                "name": event.get("name", "?"),
-                "cat": "mark",
-                "ph": "i",
-                "s": "p",
+                "ph": {"span_open": "B", "span_close": "E"}.get(kind, "i"),
                 "ts": ts,
                 "pid": tracks.pid(scenario),
                 "tid": tracks.tid(scenario, event.get("tid", 0)),
                 "args": dict(event.get("attrs", {})),
-            })
+            }
+            if kind == "mark":
+                entry.update(cat="mark", s="p")
+            body.append(entry)
         elif kind in ("heartbeat", "run_end"):
             pid = tracks.pid(scenario)
             rss = event.get("rss_kb")
             if rss is not None:
-                body.append({
-                    "name": "rss_kb", "cat": "counter", "ph": "C",
-                    "ts": ts, "pid": pid, "tid": 0,
-                    "args": {"rss_kb": rss},
-                })
+                body.append(_counter("rss_kb", "counter", ts, pid, rss))
             for name, delta in sorted(event.get("counters", {}).items()):
                 key = (scenario, name)
                 totals[key] = totals.get(key, 0.0) + float(delta)
-                body.append({
-                    "name": name, "cat": "counter", "ph": "C",
-                    "ts": ts, "pid": pid, "tid": 0,
-                    "args": {name: totals[key]},
-                })
-    return _document(
-        tracks.metadata + body,
-        source="repro.obs.events/v1",
-        other={"num_events": len(events)},
-    )
+                body.append(_counter(name, "counter", ts, pid, totals[key]))
+            for name, value in sorted(event.get("gauges", {}).items()):
+                body.append(_counter(name, "gauge", ts, pid, value))
+            if event.get("histograms"):
+                histograms[scenario or "run"] = event["histograms"]
+    return {
+        "traceEvents": tracks.metadata + body,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "exporter": CHROME_TRACE_VERSION,
+            "source_schema": EVENTS_SCHEMA,
+            "num_events": len(events),
+            "histograms": histograms,
+        },
+    }
 
 
 def write_chrome_trace(path: str, document: Dict[str, Any]) -> None:

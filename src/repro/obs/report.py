@@ -1,28 +1,27 @@
-"""FlowTrace: the stable JSON schema of a recorded flow run.
+"""FlowTrace: the in-memory view of one recorded flow run.
 
 A ``FlowTrace`` bundles the span tree and the metric registry of one
 :func:`~repro.obs.trace.recording` together with the flow/design
-identity.  The JSON form (``schema`` = ``repro.obs.flowtrace/v1``) is
-what ``--trace-out`` writes, what ``python -m repro trace`` reads back,
-and what future ``BENCH_*.json`` entries cite for per-stage numbers —
-so it round-trips exactly and keys are emitted sorted for diffability.
+identity and the recording's wall time.  It is built either from the
+live recorder (:meth:`FlowTrace.from_recorder`) or by folding the
+``repro.obs.events/v1`` stream the run wrote (:func:`fold_events`); the
+two agree on span names, nesting and attrs, counters, gauges and
+histogram summaries.  The event stream is the only serialized trace.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.events import EVENTS_SCHEMA
 from repro.obs.metrics import HistogramStats
 from repro.obs.trace import Recorder, SpanRecord
-
-FLOWTRACE_SCHEMA = "repro.obs.flowtrace/v1"
 
 
 @dataclass
 class FlowTrace:
-    """Serializable record of one observed flow run."""
+    """Record of one observed flow run."""
 
     flow: str
     design: str
@@ -30,6 +29,9 @@ class FlowTrace:
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, HistogramStats] = field(default_factory=dict)
+    #: Wall time of the whole recording, seconds: it also covers work
+    #: outside every span, such as a warm run's checkpoint load.
+    wall_s: float = 0.0
 
     # -- construction --------------------------------------------------------------
 
@@ -44,6 +46,7 @@ class FlowTrace:
             counters=dict(recorder.metrics.counters),
             gauges=dict(recorder.metrics.gauges),
             histograms=dict(recorder.metrics.histograms),
+            wall_s=recorder.wall_s,
         )
 
     # -- queries -------------------------------------------------------------------
@@ -64,59 +67,52 @@ class FlowTrace:
                 return record
         return None
 
-    def total_duration_s(self) -> float:
-        return sum(root.duration_s for root in self.spans)
 
-    # -- serialization -------------------------------------------------------------
+def fold_events(events: List[Dict[str, Any]]) -> Dict[str, FlowTrace]:
+    """Fold a parsed ``repro.obs.events/v1`` stream into FlowTraces.
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": FLOWTRACE_SCHEMA,
-            "flow": self.flow,
-            "design": self.design,
-            "spans": [root.to_dict() for root in self.spans],
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {
-                name: stats.to_dict()
-                for name, stats in sorted(self.histograms.items())
-            },
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "FlowTrace":
-        schema = data.get("schema")
-        if schema != FLOWTRACE_SCHEMA:
-            raise ValueError(
-                f"not a FlowTrace document (schema {schema!r}, "
-                f"expected {FLOWTRACE_SCHEMA!r})"
-            )
-        return FlowTrace(
-            flow=data.get("flow", ""),
-            design=data.get("design", ""),
-            spans=[SpanRecord.from_dict(s) for s in data.get("spans", [])],
-            counters={
-                k: float(v) for k, v in data.get("counters", {}).items()
-            },
-            gauges={k: float(v) for k, v in data.get("gauges", {}).items()},
-            histograms={
-                k: HistogramStats.from_dict(v)
-                for k, v in data.get("histograms", {}).items()
-            },
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "FlowTrace":
-        return FlowTrace.from_dict(json.loads(text))
-
-
-def load_trace(path: str) -> FlowTrace:
-    """Read a FlowTrace JSON file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return FlowTrace.from_json(handle.read())
+    Returns one trace per ``scenario`` tag, in order of appearance (the
+    key is "" for an untagged ``repro run`` stream).  ``span_open`` /
+    ``span_close`` pairs become the span tree, with one open-span stack
+    per (scenario, thread); counters are the sums of the heartbeat and
+    ``run_end`` deltas; gauges and histograms come from the ``run_end``
+    footer; ``wall_s`` is the last event's offset.  The stream carries
+    no flow/design identity, so both are left empty.  Raises ValueError
+    when the stream does not open with the events schema header.
+    """
+    if not events or events[0].get("schema") != EVENTS_SCHEMA:
+        raise ValueError(f"not a {EVENTS_SCHEMA} event stream")
+    traces: Dict[str, FlowTrace] = {}
+    stacks: Dict[Tuple[str, Any], List[SpanRecord]] = {}
+    for event in events:
+        scenario = str(event.get("scenario", ""))
+        trace = traces.setdefault(scenario, FlowTrace("", ""))
+        trace.wall_s = float(event.get("t", trace.wall_s))
+        kind = event.get("type")
+        if kind in ("span_open", "span_close"):
+            stack = stacks.setdefault((scenario, event.get("tid")), [])
+            if kind == "span_open":
+                record = SpanRecord(
+                    event["name"], dict(event.get("attrs", {})),
+                    start_s=trace.wall_s,
+                )
+                (stack[-1].children if stack else trace.spans).append(record)
+                stack.append(record)
+            elif stack:
+                record = stack.pop()
+                record.attrs = dict(event.get("attrs", {}))
+                record.duration_s = float(event.get("dur_s", 0.0))
+                record.peak_rss_kb = event.get("rss_kb")
+        elif kind in ("heartbeat", "run_end"):
+            for name, delta in event.get("counters", {}).items():
+                trace.counters[name] = trace.counters.get(name, 0.0) + delta
+        if kind == "run_end":
+            trace.gauges = dict(event.get("gauges", {}))
+            trace.histograms = {
+                name: HistogramStats.from_dict(stats)
+                for name, stats in event.get("histograms", {}).items()
+            }
+    return traces
 
 
 def _format_spans(records: List[SpanRecord], total: float,
@@ -143,7 +139,7 @@ def _format_spans(records: List[SpanRecord], total: float,
 
 def format_trace(trace: FlowTrace) -> str:
     """Render a FlowTrace as the human-readable stage table."""
-    total = trace.total_duration_s()
+    total = trace.wall_s
     out = [
         f"FlowTrace — {trace.flow or '?'} on {trace.design or '?'}"
         f"  (total {total:.3f} s)"

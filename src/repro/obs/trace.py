@@ -93,30 +93,6 @@ class SpanRecord:
         for c in self.children:
             yield from c.walk()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "peak_rss_kb": self.peak_rss_kb,
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "SpanRecord":
-        rss = data.get("peak_rss_kb")
-        return SpanRecord(
-            name=data["name"],
-            attrs=dict(data.get("attrs", {})),
-            start_s=float(data.get("start_s", 0.0)),
-            duration_s=float(data.get("duration_s", 0.0)),
-            peak_rss_kb=None if rss is None else int(rss),
-            children=[
-                SpanRecord.from_dict(c) for c in data.get("children", [])
-            ],
-        )
-
 
 class NullSpan:
     """The shared do-nothing span used whenever tracing is disabled."""
@@ -180,6 +156,8 @@ class Recorder:
         from repro.obs.metrics import MetricsRegistry
 
         self.epoch = time.perf_counter()
+        #: Wall time of the recording, stamped by :func:`recording`.
+        self.wall_s = 0.0
         self.roots: List[SpanRecord] = []
         self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
@@ -196,13 +174,15 @@ class Recorder:
 
     def _push(self, record: SpanRecord) -> None:
         stack = self._stack()
-        if stack:
-            parent = stack[-1]
-            with self._lock:
-                parent.children.append(record)
-        else:
-            with self._lock:
-                self.roots.append(record)
+        parent = stack[-1] if stack else None
+        opening = getattr(self._local, "opening", None)
+        if opening is not None and opening[0] is parent:
+            record.attrs.update(opening[1])
+            opening[2].append(record)
+        with self._lock:
+            (parent.children if parent is not None else self.roots).append(
+                record
+            )
         stack.append(record)
 
     def _pop(self, record: SpanRecord) -> None:
@@ -218,13 +198,6 @@ class Recorder:
     def current(self) -> Optional[SpanRecord]:
         stack = self._stack()
         return stack[-1] if stack else None
-
-    def all_spans(self) -> Iterator[SpanRecord]:
-        for root in self.roots:
-            yield from root.walk()
-
-    def span_names(self) -> List[str]:
-        return [s.name for s in self.all_spans()]
 
 
 #: The process-global recorder; ``None`` means tracing is disabled.
@@ -260,21 +233,25 @@ def annotate(**attrs: Any) -> None:
 
 
 @contextmanager
-def opened_spans() -> Iterator[List[SpanRecord]]:
-    """Yield a list that, on exit, holds the spans the block opened at
-    its top level (empty when tracing is off)."""
+def opened_spans(**tags: Any) -> Iterator[List[SpanRecord]]:
+    """Yield a list that collects the spans the block opens at its top
+    level (empty when tracing is off).
+
+    Each such span gets ``tags`` as it opens, so its ``span_open`` event
+    on a live stream already carries them.
+    """
     opened: List[SpanRecord] = []
     recorder = _ACTIVE
     if recorder is None:
         yield opened
         return
-    parent = recorder.current()
-    siblings = parent.children if parent is not None else recorder.roots
-    start = len(siblings)
+    local = recorder._local
+    previous = getattr(local, "opening", None)
+    local.opening = (recorder.current(), tags, opened)
     try:
         yield opened
     finally:
-        opened.extend(siblings[start:])
+        local.opening = previous
 
 
 @contextmanager
@@ -282,7 +259,9 @@ def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
     """Install a recorder for the duration of the block.
 
     Nested recordings stack: the previous recorder is restored on exit,
-    so library code never has to know whether it runs traced.
+    so library code never has to know whether it runs traced.  On exit
+    the recorder's ``wall_s`` is stamped with the block's wall time,
+    which covers work outside every span (a warm run's checkpoint load).
     """
     global _ACTIVE
     recorder = recorder or Recorder()
@@ -292,3 +271,4 @@ def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
         yield recorder
     finally:
         _ACTIVE = previous
+        recorder.wall_s = time.perf_counter() - recorder.epoch

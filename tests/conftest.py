@@ -7,6 +7,8 @@ build their own copies.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cells.library import default_library
@@ -22,6 +24,7 @@ from repro.geom import Point, Rect
 from repro.netlist.core import Netlist, PortConstraint
 from repro.netlist.openpiton import build_tile, small_cache_config
 from repro.obs import FlowTrace, recording
+from repro.obs.events import streaming
 from repro.tech.presets import hk28, hk28_macro_die
 
 #: Shared statistical scale / options of the flow-level test runs.
@@ -29,16 +32,24 @@ FLOW_SCALE = 0.02
 FLOW_OPTIONS = FlowOptions(sizing_iterations=3)
 
 
+def stream_events(events):
+    """An event writer that appends each event as it reads back from
+    its JSON line, so a test folds exactly what a file would hold."""
+    return lambda event: events.append(json.loads(json.dumps(event)))
+
+
 def run_traced(runner, **kwargs):
-    """Run a flow with tracing on; returns (FlowResult, FlowTrace)."""
+    """Run a flow with tracing and a live event stream on; returns
+    (FlowResult, FlowTrace, the stream's events)."""
     kwargs.setdefault("scale", FLOW_SCALE)
     kwargs.setdefault("options", FLOW_OPTIONS)
-    with recording() as recorder:
+    events = []
+    with recording() as recorder, streaming(stream_events(events)):
         result = runner(small_cache_config(), **kwargs)
     trace = FlowTrace.from_recorder(
         recorder, flow=result.flow, design=result.design
     )
-    return result, trace
+    return result, trace, events
 
 
 # One session-scoped traced run per flow: test_flows, test_obs,

@@ -25,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -59,9 +60,12 @@ from repro.flows.flow2d import run_flow_2d
 from repro.geom import Point
 from repro.netlist.index import shared_geometry
 from repro.netlist.openpiton import small_cache_config
-from repro.obs import FlowTrace, count, observe, recording
+from repro.bench.artifact import BenchArtifact
+from repro.obs import FlowTrace, count, fold_events, observe, recording
+from repro.obs.events import streaming
 from repro.serve.service import FORK_FALLBACK_MESSAGE, fork_context
-from tests.conftest import build_mini_netlist
+from tests.conftest import build_mini_netlist, stream_events
+from tests.test_obs import assert_fold_matches
 
 
 class TestCanonicalFingerprint:
@@ -446,27 +450,35 @@ class TestFlowWarmRepeat:
 
     @classmethod
     def _run(cls, options=None):
-        with recording() as rec:
+        """One traced run with its JSON event stream: (result, trace,
+        events)."""
+        events = []
+        with recording() as rec, streaming(stream_events(events)):
             result = run_flow_2d(
                 small_cache_config(), scale=0.01,
                 options=options or cls.OPTIONS,
             )
-        return result, FlowTrace.from_recorder(
+        trace = FlowTrace.from_recorder(
             rec, flow=result.flow, design=result.design
         )
+        return result, trace, events
 
     @pytest.fixture(scope="class")
     def cold(self, tmp_path_factory):
-        """One cold run: its cache dir, result and trace."""
+        """One cold run: its cache dir, result, trace and events."""
         cache_dir = str(tmp_path_factory.mktemp("cache"))
         with caching(StageCache(cache_dir)):
-            result, trace = self._run()
-        return cache_dir, result, trace
+            return (cache_dir, *self._run())
 
-    def test_warm_2d_flow_is_all_hits_and_qor_identical(self, cold):
-        cache_dir, cold, cold_trace = cold
-        with caching(StageCache(cache_dir)):
-            warm, warm_trace = self._run()
+    @pytest.fixture(scope="class")
+    def warm(self, cold):
+        """One warm repeat of the cold run: result, trace and events."""
+        with caching(StageCache(cold[0])):
+            return self._run()
+
+    def test_warm_2d_flow_is_all_hits_and_qor_identical(self, cold, warm):
+        _cache_dir, cold, cold_trace, _events = cold
+        warm, warm_trace, _events = warm
         assert warm_trace.counters["cache_hit"] == self.STAGES
         assert "cache_miss" not in warm_trace.counters
         assert cold_trace.counters["cache_miss"] == self.STAGES
@@ -480,6 +492,47 @@ class TestFlowWarmRepeat:
         assert warm_trace.gauges == cold_trace.gauges
         assert ([s.name for s in warm_trace.spans]
                 == [s.name for s in cold_trace.spans])
+
+    def test_fold_equals_recorder(self, traced_2d, cold, warm):
+        """Uncached, cold-cached and warm-cached: the fold of each run's
+        JSON event stream equals its recorder's trace."""
+        for _result, trace, events in (traced_2d, cold[1:], warm):
+            assert_fold_matches(events, trace)
+
+    def test_cache_tags_reach_the_stream(self, cold, warm):
+        for (_result, _trace, events), tag in ((cold[1:], "miss"),
+                                               (warm, "hit")):
+            # Each stage's top-level spans carry the tag as they open.
+            tagged = [e for e in events
+                      if e["type"] == "span_open" and "cache" in e["attrs"]]
+            assert len(tagged) >= self.STAGES
+            assert {e["attrs"]["cache"] for e in tagged} == {tag}
+            folded = [s for s in fold_events(events)[""].all_spans()
+                      if "cache" in s.attrs]
+            assert [s.name for s in folded] == [e["name"] for e in tagged]
+            assert all(len(s.attrs["key"]) == 12 for s in folded)
+
+    def test_warm_wall_covers_the_checkpoint_load(self, cold, monkeypatch):
+        """A warm run's wall time is the recording's, so it includes the
+        checkpoint load that runs outside every span."""
+        load_s = []
+        load_state = StageCache.load_state
+
+        def spy(cache, key):
+            start = time.perf_counter()
+            try:
+                return load_state(cache, key)
+            finally:
+                load_s.append(time.perf_counter() - start)
+
+        monkeypatch.setattr(StageCache, "load_state", spy)
+        with caching(StageCache(cold[0])):
+            result, trace, _events = self._run()
+        artifact = BenchArtifact.from_run(
+            "", "", "", "", 0.0, result, trace
+        )
+        assert len(load_s) == 1
+        assert artifact.wall_s_total >= load_s[0] > 0.0
 
     def test_sizing_edit_stores_one_checkpoint(self, cold, tmp_path,
                                                monkeypatch):
@@ -497,12 +550,12 @@ class TestFlowWarmRepeat:
         monkeypatch.setattr(StageCache, "load_state", spy)
         edited = FlowOptions(sizing_iterations=2)
         with caching(StageCache(cache_dir)):
-            result, trace = self._run(edited)
+            result, trace, _events = self._run(edited)
         assert trace.counters["cache_miss"] == 1
         assert trace.counters["cache_store"] == 1
         assert trace.counters["cache_hit"] == self.STAGES - 1
         assert len(loads) == 1
-        uncached, uncached_trace = self._run(edited)
+        uncached, uncached_trace, _events = self._run(edited)
         assert result.summary.as_row() == uncached.summary.as_row()
         assert ([s.name for s in trace.spans]
                 == [s.name for s in uncached_trace.spans])

@@ -1,18 +1,19 @@
 """Tests for live events, Chrome trace export, and the run history.
 
-Covers the three observability subsystems added on top of FlowTraces:
+Covers the observability subsystems around the recorder:
 
 - ``repro.obs.events`` — the live JSONL stream: emission order, base
   tagging, heartbeat cadence + counter deltas, zero-cost disabled path,
   and mid-run readability (every flushed line is valid JSON);
-- ``repro.obs.export`` — FlowTrace and event-stream conversion to the
-  Chrome trace-event format, held to the structural contract
+- ``repro.obs.export`` — event-stream conversion to the Chrome
+  trace-event format, held to the structural contract
   ``validate_chrome_trace`` enforces (B/E balance, ts/dur presence);
 - ``repro.obs.history`` — canonical-JSONL round trips, the trend
   comparator, and the HTML/SVG dashboard;
 - the bench runner integration: serial + parallel (queue-forwarded)
-  event streams, history appends, and the acceptance bar that QoR is
-  byte-identical with events on and off.
+  event streams that fold back to each artifact's metrics, per-job
+  Perfetto exports, history appends, and the acceptance bar that QoR
+  is byte-identical with events on and off.
 """
 
 import json
@@ -34,20 +35,18 @@ from repro.bench import (
 )
 from repro.bench.artifact import load_artifact, qor_json
 from repro.bench.scenarios import Scenario
-from repro.obs import recording, span, count
+from repro.obs import fold_events, recording, span, count
 from repro.obs.events import (
     DEFAULT_HEARTBEAT_S,
     EVENTS_SCHEMA,
     EventStream,
     active_stream,
-    is_event_stream,
     mark,
     read_events,
     streaming,
 )
 from repro.obs.export import (
     chrome_trace_from_events,
-    chrome_trace_from_flowtrace,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -61,7 +60,6 @@ from repro.obs.history import (
     render_dashboard,
     validate_history,
 )
-from repro.obs.report import FlowTrace
 
 
 class TestEventStream:
@@ -158,9 +156,7 @@ class TestEventStream:
         assert [e["type"] for e in final] == [
             "run_start", "mark", "heartbeat", "run_end",
         ]
-        assert is_event_stream(final)
-        assert not is_event_stream([{"type": "mark"}])
-        assert not is_event_stream([])
+        assert final[0]["schema"] == EVENTS_SCHEMA
 
     def test_read_events_tolerates_truncated_tail(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -201,11 +197,32 @@ class TestEventStream:
             json.loads(line)  # every serialized event is whole
 
 
+def assert_export_matches_artifact(document, events, artifact):
+    """A Perfetto export holds every span of the run's stream, ends
+    each counter track at the artifact's value, and carries the
+    artifact's histograms under ``otherData``."""
+    assert validate_chrome_trace(document) == []
+    body = document["traceEvents"]
+    opened = [e["name"] for e in events if e["type"] == "span_open"]
+    assert [e["name"] for e in body if e["ph"] == "B"] == opened
+    assert {s.name for s in artifact.stages} <= set(opened)
+    final = {}
+    for e in body:
+        if e["ph"] == "C" and e.get("cat") == "counter":
+            final[e["name"]] = e["args"][e["name"]]
+    final.pop("rss_kb", None)
+    assert final == artifact.counters
+    assert document["otherData"]["histograms"] == {
+        artifact.scenario: artifact.histograms
+    }
+
+
 class TestChromeExport:
-    def _flowtrace(self):
+    def _stream(self):
         from repro.obs import gauge, observe
 
-        with recording() as rec:
+        events = []
+        with recording(), streaming(events.append):
             with span("place", cells=10):
                 with span("legalize"):
                     count("legalize_forced", 2)
@@ -213,30 +230,25 @@ class TestChromeExport:
                 pass
             gauge("overflow_bins", 3.0)
             observe("disp", 1.5)
-        return FlowTrace.from_recorder(rec, flow="2D", design="tile")
+        return events
 
-    def test_flowtrace_export_is_lossless_and_valid(self):
-        trace = self._flowtrace()
+    def test_stream_export_is_lossless_and_valid(self):
         document = chrome_trace_from_events([])  # empty stream edge case
         assert validate_chrome_trace(document) == []
-        document = chrome_trace_from_flowtrace(trace)
+        document = chrome_trace_from_events(self._stream())
         assert validate_chrome_trace(document) == []
         events = document["traceEvents"]
-        complete = [e for e in events if e["ph"] == "X"]
-        assert {e["name"] for e in complete} == {
-            "place", "legalize", "route",
-        }
-        legalize = next(e for e in complete if e["name"] == "legalize")
-        assert legalize["dur"] >= 0
+        begins = [e for e in events if e["ph"] == "B"]
+        assert [e["name"] for e in begins] == ["place", "legalize", "route"]
+        assert begins[0]["args"] == {"cells": 10}
         counters = [e for e in events if e["ph"] == "C"]
         assert {e["name"] for e in counters} == {
-            "legalize_forced", "overflow_bins",
+            "legalize_forced", "overflow_bins", "rss_kb",
         }
         # Histograms have no native track: preserved in otherData.
-        assert "disp" in document["otherData"]["histograms"]
-        assert document["otherData"]["source_schema"] == (
-            "repro.obs.flowtrace/v1"
-        )
+        assert document["otherData"]["histograms"]["run"]["disp"][
+            "count"] == 1
+        assert document["otherData"]["source_schema"] == EVENTS_SCHEMA
 
     def test_event_stream_export_tracks_per_scenario(self):
         events = []
@@ -301,7 +313,7 @@ class TestChromeExport:
 
     def test_write_chrome_trace_round_trips(self, tmp_path):
         path = str(tmp_path / "out.perfetto")
-        document = chrome_trace_from_flowtrace(self._flowtrace())
+        document = chrome_trace_from_events(self._stream())
         write_chrome_trace(path, document)
         with open(path, "r", encoding="utf-8") as handle:
             loaded = json.load(handle)
@@ -520,7 +532,7 @@ class TestRunnerIntegration:
         results, _schedule, failures = serial_runs.loud
         assert not failures and len(results) == 1
         events = read_events(events_path)
-        assert is_event_stream(events)
+        assert events[0]["schema"] == EVENTS_SCHEMA
         # The file and the callback see the same stream.
         assert len(seen) == len(events)
         assert all(e["scenario"] == TINY.name for e in events)
@@ -535,11 +547,12 @@ class TestRunnerIntegration:
         assert [r.scenario for r in records] == [TINY.name]
         assert records[0].git_rev != ""
         assert validate_history(history_path) == []
-        # The perfetto export is structurally loadable.
+        # The perfetto export is the job's own stream, metrics included.
         perfetto = tmp_path / "out" / f"BENCH_{TINY.name}.perfetto"
-        assert perfetto.exists()
         with open(perfetto, "r", encoding="utf-8") as handle:
-            assert validate_chrome_trace(json.load(handle)) == []
+            assert_export_matches_artifact(
+                json.load(handle), events, results[0][1]
+            )
         # And artifact discovery never mistakes it for an artifact.
         from repro.bench import discover_artifacts
 
@@ -553,7 +566,7 @@ class TestRunnerIntegration:
         events_path = str(tmp_path / "events.jsonl")
         results, schedule, failures = run_benchmarks(
             tiny_scenarios, out, svg=False, jobs=2,
-            events_path=events_path, heartbeat_s=0.2,
+            events_path=events_path, heartbeat_s=0.2, perfetto=True,
         )
         assert not failures and len(results) == 2
         events = read_events(events_path)
@@ -570,6 +583,35 @@ class TestRunnerIntegration:
         pids = {e["pid"] for e in document["traceEvents"]
                 if e["ph"] in ("B", "E")}
         assert len(pids) == 2
+        # Each worker's stream folds to its artifact's metrics, and each
+        # job's Perfetto export is built from that job's stream alone.
+        traces = fold_events(events)
+        for scenario, artifact, _paths in results:
+            assert traces[scenario.name].counters == artifact.counters
+            mine = [e for e in events if e["scenario"] == scenario.name]
+            path = f"{out}/BENCH_{scenario.name}.perfetto"
+            with open(path, "r", encoding="utf-8") as handle:
+                assert_export_matches_artifact(
+                    json.load(handle), mine, artifact
+                )
+
+    def test_serial_stream_folds_to_the_artifact(self, serial_runs):
+        """The stream runs inside the recording, so its last counter
+        deltas, gauges and histograms reach the footer."""
+        results, _schedule, _failures = serial_runs.loud
+        artifact = results[0][1]
+        events = read_events(str(serial_runs.root / "events.jsonl"))
+        trace = fold_events(events)[TINY.name]
+        assert trace.counters == artifact.counters
+        assert trace.gauges == artifact.gauges
+        assert {name: stats.to_dict()
+                for name, stats in trace.histograms.items()} == (
+            artifact.histograms
+        )
+        assert [s.name for s in trace.spans] == [
+            s.name for s in artifact.stages
+        ]
+        assert trace.counters["drc_nets_checked"] > 0
 
     def test_qor_identical_with_events_on_and_off(self, serial_runs):
         """Acceptance: streaming must not perturb QoR byte-for-byte."""
@@ -612,29 +654,36 @@ class TestEventsCli:
         assert capsys.readouterr().out == ""
         # --quiet drops the progress subscription, not the stream: the
         # events file the user asked for is still written.
-        assert is_event_stream(read_events(events_path))
+        assert TINY.name in fold_events(read_events(events_path))
 
-    def test_trace_chrome_handles_both_formats(self, tmp_path, capsys):
+    def test_trace_prints_tables_and_exports_chrome(self, tmp_path, capsys):
         from repro.cli import main
 
-        with recording() as rec:
-            with span("stage"):
-                pass
-        trace = FlowTrace.from_recorder(rec, flow="2D", design="tile")
-        trace_path = tmp_path / "run.json"
-        trace_path.write_text(trace.to_json())
-        events_path = tmp_path / "run.events.jsonl"
-        with streaming(str(events_path)):
-            mark("hello")
-        for source in (trace_path, events_path):
-            out = tmp_path / (source.name + ".perfetto")
-            assert main(["trace", str(source), "--chrome", str(out)]) == 0
-            with open(out, "r", encoding="utf-8") as handle:
-                assert validate_chrome_trace(json.load(handle)) == []
-        # Printing an event stream without --chrome is a usage error.
-        with pytest.raises(SystemExit, match="live event stream"):
-            main(["trace", str(events_path)])
-        capsys.readouterr()
+        events_path = tmp_path / "bench.events.jsonl"
+        with open(events_path, "w", encoding="utf-8") as handle:
+            for scenario in ("alpha", "beta"):
+                with recording(), streaming(
+                    lambda e: handle.write(json.dumps(e) + "\n"),
+                    base={"scenario": scenario},
+                ):
+                    with span("stage", cells=3):
+                        count("edges", 4)
+        # One stage table per scenario of a bench stream.
+        assert main(["trace", str(events_path)]) == 0
+        text = capsys.readouterr().out
+        assert text.count("== alpha ==") == text.count("== beta ==") == 1
+        assert text.count("[cells=3]") == 2
+        assert text.count("edges") == 2
+        out = tmp_path / "bench.perfetto"
+        assert main(["trace", str(events_path), "--chrome", str(out)]) == 0
+        assert "chrome trace written" in capsys.readouterr().out
+        with open(out, "r", encoding="utf-8") as handle:
+            assert validate_chrome_trace(json.load(handle)) == []
+        # Anything else is rejected, not sniffed.
+        bogus = tmp_path / "run.json"
+        bogus.write_text('{"spans": []}\n')
+        with pytest.raises(SystemExit, match="not a repro.obs.events/v1"):
+            main(["trace", str(bogus)])
 
     def test_dash_cli_renders_html(self, tmp_path, capsys):
         from repro.cli import main

@@ -36,7 +36,7 @@ from repro.cells.stdcell import PinDirection
 from repro.floorplan.floorplan import Floorplan
 from repro.geom import Point, Rect
 from repro.netlist.core import Netlist, PortConstraint
-from repro.obs import profile_call, recording
+from repro.obs import FlowTrace, profile_call, recording
 from repro.place.global_place import (
     _CG_TOL_KW,
     GlobalPlacerOptions,
@@ -275,7 +275,7 @@ class TestObservability:
         with recording() as rec:
             placement.total_hpwl()
             placement.total_hpwl()
-        assert "index_build" in rec.span_names()
+        assert "index_build" in FlowTrace.from_recorder(rec).span_names()
         assert rec.metrics.counters["hpwl_evals"] == 2.0
 
     def test_index_shared_by_copies(self):

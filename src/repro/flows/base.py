@@ -661,6 +661,9 @@ def summarize_flow(
     drc: Optional[DrcReport] = None,
 ) -> PPASummary:
     """Assemble the paper-style PPA summary of one flow run."""
+    # The run's identity, once per stream: a folded stream names its
+    # flow and design from this mark.
+    mark("summary", flow=flow, design=design)
     fclk = (
         options.target_frequency_mhz
         if options.target_frequency_mhz

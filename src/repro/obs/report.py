@@ -76,9 +76,10 @@ def fold_events(events: List[Dict[str, Any]]) -> Dict[str, FlowTrace]:
     ``span_close`` pairs become the span tree, with one open-span stack
     per (scenario, thread); counters are the sums of the heartbeat and
     ``run_end`` deltas; gauges and histograms come from the ``run_end``
-    footer; ``wall_s`` is the last event's offset.  The stream carries
-    no flow/design identity, so both are left empty.  Raises ValueError
-    when the stream does not open with the events schema header.
+    footer; ``wall_s`` is the last event's offset.  The flow and design
+    come from the ``summary`` mark a flow emits as it summarizes (they
+    stay empty in a stream without one).  Raises ValueError when the
+    stream does not open with the events schema header.
     """
     if not events or events[0].get("schema") != EVENTS_SCHEMA:
         raise ValueError(f"not a {EVENTS_SCHEMA} event stream")
@@ -103,6 +104,10 @@ def fold_events(events: List[Dict[str, Any]]) -> Dict[str, FlowTrace]:
                 record.attrs = dict(event.get("attrs", {}))
                 record.duration_s = float(event.get("dur_s", 0.0))
                 record.peak_rss_kb = event.get("rss_kb")
+        elif kind == "mark" and event.get("name") == "summary":
+            attrs = event.get("attrs", {})
+            trace.flow = str(attrs.get("flow", ""))
+            trace.design = str(attrs.get("design", ""))
         elif kind in ("heartbeat", "run_end"):
             for name, delta in event.get("counters", {}).items():
                 trace.counters[name] = trace.counters.get(name, 0.0) + delta

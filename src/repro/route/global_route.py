@@ -8,7 +8,10 @@ afterwards in :mod:`repro.route.layer_assign`.
 
 Pattern costs are evaluated against prefix sums of the per-edge cost
 fields, refreshed in batches — the standard engineering trade that makes
-congestion-aware pattern routing linear-time in practice.
+congestion-aware pattern routing linear-time in practice.  Between two
+refreshes (one cost epoch) the fields are frozen, so the epoch's maze
+searches are solved up front as one batch, spread over the usable CPUs,
+with the same answers as searching them one by one.
 
 Clock nets are excluded — clock distribution is synthesised separately by
 :mod:`repro.timing.clock_tree`.
@@ -16,21 +19,165 @@ Clock nets are excluded — clock distribution is synthesised separately by
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import math
+import os
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geom import Point
 from repro.netlist.core import Instance, Net, Netlist
-from repro.obs import count
+from repro.obs import count, span
 from repro.place.global_place import Placement
 from repro.route.grid import RoutingGrid
 from repro.route.steiner import decompose_net, manhattan
 
 GCell = Tuple[int, int]
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_tables(nx: int, ny: int) -> Tuple[List[int], List[int]]:
+    """Row-major cell id -> x and -> y lookup lists of an nx*ny grid."""
+    ids = range(nx * ny)
+    return [i // ny for i in ids], [i % ny for i in ids]
+
+
+def maze_search(
+    cost_h: Sequence[float],
+    cost_v: Sequence[float],
+    nx: int,
+    ny: int,
+    limit: int,
+    a: GCell,
+    b: GCell,
+) -> Tuple[Optional[List[GCell]], int]:
+    """A* from a to b over flat edge costs: (path or None, expansions).
+
+    ``cost_h``/``cost_v`` are the row-major (``x*ny + y``) per-edge cost
+    fields as Python lists; the search gives up after ``limit`` node
+    expansions.  A pure function of its arguments, so one cost epoch's
+    queries can be solved in any order, in any process.
+    """
+    # Hot loop: pure Python over flat lists.  Cells travel as row-
+    # major ids (x*ny + y); because y < ny, id order equals (x, y)
+    # tuple order, so heap tie-breaking — and therefore expansion
+    # order and the returned path — is identical to the tuple/dict
+    # implementation, at a fraction of its hashing cost.
+    bx_, by_ = b
+    b_id = bx_ * ny + by_
+    a_id = a[0] * ny + a[1]
+    # Manhattan distance to b, split per axis: h(x, y) = hx[x] + hy[y].
+    hx = [x - bx_ if x >= bx_ else bx_ - x for x in range(nx)]
+    hy = [y - by_ if y >= by_ else by_ - y for y in range(ny)]
+    xs, ys = _cell_tables(nx, ny)
+    last_x, last_y = nx - 1, ny - 1
+    expansions = 0
+    best = [math.inf] * (nx * ny)
+    best[a_id] = 0.0
+    parent = [0] * (nx * ny)
+    frontier: List[Tuple[float, float, int]] = [(0.0, 0.0, a_id)]
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    while frontier:
+        _f, g, cell = heappop(frontier)
+        if cell == b_id:
+            ids = [cell]
+            while cell != a_id:
+                cell = parent[cell]
+                ids.append(cell)
+            ids.reverse()
+            return [(xs[i], ys[i]) for i in ids], expansions
+        if g > best[cell]:
+            continue
+        expansions += 1
+        if expansions > limit:
+            return None, expansions
+        cx = xs[cell]
+        cy = ys[cell]
+        if cx < last_x:
+            g2 = g + cost_h[cell]
+            n_id = cell + ny
+            if g2 < best[n_id]:
+                best[n_id] = g2
+                parent[n_id] = cell
+                heappush(frontier, (g2 + (hx[cx + 1] + hy[cy]), g2, n_id))
+        if cx > 0:
+            n_id = cell - ny
+            g2 = g + cost_h[n_id]
+            if g2 < best[n_id]:
+                best[n_id] = g2
+                parent[n_id] = cell
+                heappush(frontier, (g2 + (hx[cx - 1] + hy[cy]), g2, n_id))
+        if cy < last_y:
+            g2 = g + cost_v[cell]
+            n_id = cell + 1
+            if g2 < best[n_id]:
+                best[n_id] = g2
+                parent[n_id] = cell
+                heappush(frontier, (g2 + (hx[cx] + hy[cy + 1]), g2, n_id))
+        if cy > 0:
+            n_id = cell - 1
+            g2 = g + cost_v[n_id]
+            if g2 < best[n_id]:
+                best[n_id] = g2
+                parent[n_id] = cell
+                heappush(frontier, (g2 + (hx[cx] + hy[cy - 1]), g2, n_id))
+    return None, expansions
+
+
+def _solve_share(
+    cost_h: Sequence[float],
+    cost_v: Sequence[float],
+    nx: int,
+    ny: int,
+    limit: int,
+    queries: Sequence[Tuple[GCell, GCell]],
+) -> List[Tuple[Optional[List[GCell]], int]]:
+    """Answers to one share of an epoch's maze queries, in query order."""
+    return [
+        maze_search(cost_h, cost_v, nx, ny, limit, a, b) for a, b in queries
+    ]
+
+
+def _solver_count() -> int:
+    """Processes that solve a maze batch: every usable CPU, or 1.
+
+    Only a top-level process forks solvers.  A flow-service or
+    ``bench run --jobs`` worker already shares the CPUs with its
+    siblings, so it solves in-process instead of oversubscribing them.
+    """
+    import multiprocessing
+
+    from repro.forking import fork_context
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    if (
+        cpus > 1
+        and fork_context() is not None
+        and multiprocessing.parent_process() is None
+    ):
+        return cpus
+    return 1
+
+
+def _init_solver() -> None:
+    """Pool initializer.  A forked solver inherits the parent's heap:
+    freeze it so collections never scan (and copy) it, and drop any
+    profiler hook it came with."""
+    gc.freeze()
+    sys.setprofile(None)
+
+
+class MazeBatchError(RuntimeError):
+    """A maze batch could not be solved (e.g. a solver process died)."""
 
 
 @dataclass
@@ -111,11 +258,11 @@ class GlobalRouter:
         # valid for the router's lifetime).
         self._use_h_flat = grid.use_h.ravel()
         self._use_v_flat = grid.use_v.ravel()
-        # Row-major cell id -> (x, y) tables for the maze inner loop.
-        ids = range(grid.nx * grid.ny)
-        self._cell_x = [i // grid.ny for i in ids]
-        self._cell_y = [i % grid.ny for i in ids]
         self._since_refresh = 0
+        # Maze solvers of the current run(): the process count, and the
+        # fork pool that is opened at the first batch that needs it.
+        self._solvers = 1
+        self._pool: Optional[Any] = None
         # Delta-tracked segment index for overflow detection.  The index
         # is append-only: each negotiation round adds one chunk holding
         # only the nets rerouted since the last round (the dirty set),
@@ -299,87 +446,20 @@ class GlobalRouter:
         key = (a, b)
         found = self._maze_memo.get(key)
         if found is None:
-            found = self._maze_memo[key] = self._maze_search(a, b)
+            found = self._maze_memo[key] = maze_search(
+                self._cost_h_flat, self._cost_v_flat, self.grid.nx,
+                self.grid.ny, self.options.maze_expansion_limit, a, b,
+            )
         path, expansions = found
         count("maze_expansions", expansions)
         return None if path is None else list(path)
 
-    def _maze_search(
-        self, a: GCell, b: GCell
-    ) -> Tuple[Optional[List[GCell]], int]:
-        """A* from a to b under the cost fields: (path or None, expansions)."""
-        # Hot loop: pure Python over flat lists.  Cells travel as row-
-        # major ids (x*ny + y); because y < ny, id order equals (x, y)
-        # tuple order, so heap tie-breaking — and therefore expansion
-        # order and the returned path — is identical to the tuple/dict
-        # implementation, at a fraction of its hashing cost.
-        nx, ny = self.grid.nx, self.grid.ny
-        cost_h, cost_v = self._cost_h_flat, self._cost_v_flat
-        limit = self.options.maze_expansion_limit
-        bx_, by_ = b
-        b_id = bx_ * ny + by_
-        a_id = a[0] * ny + a[1]
-        # Manhattan distance to b, split per axis: h(x, y) = hx[x] + hy[y].
-        hx = [x - bx_ if x >= bx_ else bx_ - x for x in range(nx)]
-        hy = [y - by_ if y >= by_ else by_ - y for y in range(ny)]
-        xs, ys = self._cell_x, self._cell_y
-        last_x, last_y = nx - 1, ny - 1
-        expansions = 0
-        best = [math.inf] * (nx * ny)
-        best[a_id] = 0.0
-        parent = [0] * (nx * ny)
-        frontier: List[Tuple[float, float, int]] = [(0.0, 0.0, a_id)]
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        while frontier:
-            _f, g, cell = heappop(frontier)
-            if cell == b_id:
-                ids = [cell]
-                while cell != a_id:
-                    cell = parent[cell]
-                    ids.append(cell)
-                ids.reverse()
-                return [(xs[i], ys[i]) for i in ids], expansions
-            if g > best[cell]:
-                continue
-            expansions += 1
-            if expansions > limit:
-                return None, expansions
-            cx = xs[cell]
-            cy = ys[cell]
-            if cx < last_x:
-                g2 = g + cost_h[cell]
-                n_id = cell + ny
-                if g2 < best[n_id]:
-                    best[n_id] = g2
-                    parent[n_id] = cell
-                    heappush(frontier, (g2 + (hx[cx + 1] + hy[cy]), g2, n_id))
-            if cx > 0:
-                n_id = cell - ny
-                g2 = g + cost_h[n_id]
-                if g2 < best[n_id]:
-                    best[n_id] = g2
-                    parent[n_id] = cell
-                    heappush(frontier, (g2 + (hx[cx - 1] + hy[cy]), g2, n_id))
-            if cy < last_y:
-                g2 = g + cost_v[cell]
-                n_id = cell + 1
-                if g2 < best[n_id]:
-                    best[n_id] = g2
-                    parent[n_id] = cell
-                    heappush(frontier, (g2 + (hx[cx] + hy[cy + 1]), g2, n_id))
-            if cy > 0:
-                n_id = cell - 1
-                g2 = g + cost_v[n_id]
-                if g2 < best[n_id]:
-                    best[n_id] = g2
-                    parent[n_id] = cell
-                    heappush(frontier, (g2 + (hx[cx] + hy[cy - 1]), g2, n_id))
-        return None, expansions
-
     # -- net-level routing ---------------------------------------------------------------
 
-    def _route_net(self, routed: RoutedNet, use_maze: bool = False) -> None:
+    def _two_pin_edges(
+        self, routed: RoutedNet
+    ) -> List[Tuple[int, int, GCell, GCell]]:
+        """The net's two-pin edges: (src, dst, src GCell, dst GCell)."""
         cells = [self.grid.gcell_of(p.x, p.y) for p in routed.points]
         if any(
             isinstance(obj, Instance) and obj.is_macro
@@ -396,9 +476,11 @@ class GlobalRouter:
             ]
         else:
             pairs = decompose_net(routed.points, routed.driver_index)
+        return [(src, dst, cells[src], cells[dst]) for src, dst in pairs]
+
+    def _route_net(self, routed: RoutedNet, use_maze: bool = False) -> None:
         routed.edges = []
-        for (src, dst) in pairs:
-            a, b = cells[src], cells[dst]
+        for src, dst, a, b in self._two_pin_edges(routed):
             path: Optional[List[GCell]] = None
             if use_maze:
                 path = self._route_edge_maze(a, b)
@@ -499,8 +581,8 @@ class GlobalRouter:
     def _nets_on_overflow(self) -> List[RoutedNet]:
         """Nets crossing any overflowed grid edge, in routing order.
 
-        Vectorized equivalent of :meth:`_nets_on_overflow_reference`
-        (the retained per-net scalar scan): boolean gathers over the
+        Vectorized equivalent of a per-net scalar scan (the oracle
+        ``tests/oracles/route.py``): boolean gathers over the
         delta-maintained chunked segment index instead of a Python walk
         over every net's segments each round.  Entries whose stamped
         generation trails the net's current one belong to a ripped-up
@@ -532,42 +614,20 @@ class GlobalRouter:
             if hit[k]
         ]
 
-    def _nets_on_overflow_reference(self) -> List[RoutedNet]:
-        """Scalar oracle for overflow detection (bit-exactness tests)."""
-        grid = self.grid
-        over_h = grid.use_h > grid.cap_h
-        over_v = grid.use_v > grid.cap_v
-        if not over_h.any() and not over_v.any():
-            return []
-        oh = over_h.ravel().tolist()
-        ov = over_v.ravel().tolist()
-        offenders = []
-        for routed in self.routed.values():
-            hit = False
-            for edge in routed.edges:
-                segs = edge.seg_ids
-                if segs is None:
-                    segs = edge.seg_ids = self._edge_segments(edge.path)
-                h_ids, v_ids = segs
-                for i in h_ids:
-                    if oh[i]:
-                        hit = True
-                        break
-                if not hit:
-                    for i in v_ids:
-                        if ov[i]:
-                            hit = True
-                            break
-                if hit:
-                    break
-            if hit:
-                offenders.append(routed)
-        return offenders
-
     # -- public API --------------------------------------------------------------------------
 
     def run(self) -> Dict[str, RoutedNet]:
         """Route all non-clock signal nets; returns them by net name."""
+        self._solvers = _solver_count()
+        try:
+            self._route_all()
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True, cancel_futures=True)
+                self._pool = None
+        return self.routed
+
+    def _route_all(self) -> None:
         nets = [
             net
             for net in self.netlist.nets
@@ -579,28 +639,103 @@ class GlobalRouter:
         points_all = geo.net_points(
             self.placement.x, self.placement.y, [net.id for net in nets]
         )
-        for net, points in zip(nets, points_all):
-            driver_index = (
-                net.terms.index(net.driver) if net.driver in net.terms else 0
-            )
-            routed = RoutedNet(net, points, driver_index)
-            self._route_net(routed)
-            self.routed[net.name] = routed
+        with span("route_initial"):
+            for net, points in zip(nets, points_all):
+                driver_index = (
+                    net.terms.index(net.driver)
+                    if net.driver in net.terms else 0
+                )
+                routed = RoutedNet(net, points, driver_index)
+                self._route_net(routed)
+                self.routed[net.name] = routed
 
-        for _round in range(self.options.negotiation_rounds):
+        budget = self.options.maze_budget
+        # The round's cost refresh restarts the epoch count, so slices of
+        # ``cost_batch`` offenders are exactly the cost epochs.
+        epoch = max(1, self.options.cost_batch)
+        for round_no in range(1, self.options.negotiation_rounds + 1):
             offenders = self._nets_on_overflow()
             if not offenders:
                 break
             count("negotiation_rounds", 1)
             count("ripup_nets", len(offenders))
-            self.grid.add_history()
-            self._refresh_costs()
-            # Longest nets first get maze treatment within the budget.
-            offenders.sort(key=lambda r: -r.wirelength)
-            for k, routed in enumerate(offenders):
-                self._rip_up(routed)
-                self._route_net(routed, use_maze=k < self.options.maze_budget)
-        return self.routed
+            with span("route_round", round=round_no, offenders=len(offenders)):
+                self.grid.add_history()
+                self._refresh_costs()
+                # Longest nets first get maze treatment within the budget.
+                offenders.sort(key=lambda r: -r.wirelength)
+                for start in range(0, len(offenders), epoch):
+                    chunk = offenders[start:start + epoch]
+                    if start < budget:
+                        self._solve_epoch(
+                            chunk[:budget - start], round_no, start
+                        )
+                    for k, routed in enumerate(chunk, start):
+                        self._rip_up(routed)
+                        self._route_net(routed, use_maze=k < budget)
+
+    # -- maze batches ------------------------------------------------------------------
+
+    def _solve_epoch(
+        self, nets: List[RoutedNet], round_no: int, start: int
+    ) -> None:
+        """Fill the epoch's maze memo with every query ``nets`` will ask.
+
+        The cost fields are frozen until the epoch's last net is routed,
+        so each answer is a pure function of its (a, b) query: solving
+        them all up front, split across processes, changes no route.
+        """
+        from concurrent.futures import BrokenExecutor
+
+        queries: Dict[Tuple[GCell, GCell], None] = {}
+        for routed in nets:
+            for _src, _dst, a, b in self._two_pin_edges(routed):
+                if a != b:
+                    queries[(a, b)] = None
+        if not queries:
+            return
+        todo = list(queries)
+        with span("route_maze", queries=len(todo)):
+            args = (
+                self._cost_h_flat, self._cost_v_flat, self.grid.nx,
+                self.grid.ny, self.options.maze_expansion_limit,
+            )
+            # Round-robin shares even out long and short searches; the
+            # pool solves all but the last, which this process solves.
+            shares = [todo[i::self._solvers] for i in range(self._solvers)]
+            pending = [
+                (share, self._solver_pool().submit(_solve_share, *args, share))
+                for share in shares[:-1]
+                if share
+            ]
+            answers = dict(zip(shares[-1], _solve_share(*args, shares[-1])))
+            for share, future in pending:
+                try:
+                    found = future.result()
+                except BrokenExecutor as exc:
+                    raise MazeBatchError(
+                        f"maze batch of negotiation round {round_no}, slice "
+                        f"from offender {start}, {len(todo)} queries: "
+                        f"{exc!r}"
+                    ) from exc
+                answers.update(zip(share, found))
+            # Merged by query key: the memo is the same for any split.
+            for key in todo:
+                self._maze_memo[key] = answers[key]
+
+    def _solver_pool(self) -> Any:
+        """The run's fork pool of ``solvers - 1`` maze solvers."""
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            from repro.forking import fork_context
+
+            self._pool = ProcessPoolExecutor(
+                self._solvers - 1,
+                mp_context=fork_context(),
+                initializer=_init_solver,
+            )
+        return self._pool
 
     # -- metrics --------------------------------------------------------------------------------
 

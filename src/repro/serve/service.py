@@ -19,7 +19,6 @@ process-global, so one worker thread is the safe concurrency there.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 import traceback
@@ -35,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.bench.runner import JobResult, run_job
+from repro.forking import fork_context
 from repro.obs.events import DEFAULT_HEARTBEAT_S, event_sink
 
 #: Job lifecycle states.
@@ -49,16 +49,6 @@ FORK_FALLBACK_MESSAGE = (
     "this platform only offers spawn-style starts, so scenarios will run "
     "serially instead"
 )
-
-
-def fork_context() -> Optional[Any]:
-    """The fork multiprocessing context, or None where unavailable."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - defensive
-        return None
 
 
 @dataclass

@@ -611,7 +611,7 @@ class TestSpawnFallback:
     @pytest.fixture()
     def spawn_only(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.serve.service.multiprocessing.get_all_start_methods",
+            "repro.forking.multiprocessing.get_all_start_methods",
             lambda: ["spawn"],
         )
         monkeypatch.setitem(FLOW_RUNNERS, "boomfb", _boom_flow)

@@ -6,6 +6,7 @@ from repro.bench.scenarios import FLOW_RUNNERS
 from repro.cli import build_parser, main
 from repro.extract.rc import extract_design
 from repro.io.spef import diff_spef, parse_spef, write_spef
+from repro.obs import fold_events, read_events
 from repro.opt.buffering import plan_buffers
 from repro.timing.constraints import TimingConstraints
 from repro.timing.graph import TimingGraph
@@ -119,8 +120,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--flow", "teleport"])
 
-    def test_run_command_runs(self, capsys):
-        code = main(["run", "--flow", "2d", "--scale", "0.02"])
+    def test_run_command_runs(self, capsys, tmp_path):
+        events_path = str(tmp_path / "run.events.jsonl")
+        code = main(["run", "--flow", "2d", "--scale", "0.02",
+                     "--events-out", events_path])
         assert code == 0
         out = capsys.readouterr().out
         assert "fclk [MHz]" in out
+        # The stream names its run, so the fold and `repro trace` do too.
+        trace = fold_events(read_events(events_path))[""]
+        assert trace.flow == "2D" and trace.design
+        assert main(["trace", events_path]) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert title.startswith(f"FlowTrace — 2D on {trace.design}  (")

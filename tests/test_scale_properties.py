@@ -12,9 +12,12 @@ statistical netlist generator, so reseeding it IS the randomization),
 augmented with the degenerate shapes the kernels special-case: a 1-term
 net, a no-overflow routing run (the early-exit path), and a routing run
 whose capacities are squeezed so that every net is ripped up at least
-once.
+once.  The maze batches of each cost epoch must give the same routes
+whether one process or several solve them.
 """
 
+import multiprocessing
+import os
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -36,7 +39,9 @@ from repro.floorplan.macro_placer import place_macros_2d
 from repro.netlist.openpiton import build_tile, small_cache_config
 from repro.opt.buffering import plan_buffers
 from repro.opt.sizing import size_for_load
-from repro.route.global_route import GlobalRouter
+from repro.obs import FlowTrace, recording
+from repro.route import global_route
+from repro.route.global_route import GlobalRouter, MazeBatchError
 from repro.route.grid import RoutingGrid
 from repro.tech.presets import hk28
 from repro.timing.constraints import TimingConstraints
@@ -46,6 +51,8 @@ from repro.timing.sta import (
     net_slacks_reference,
     run_sta_reference,
 )
+from tests.oracles.route import nets_on_overflow_reference
+from tests.test_determinism import _trace_canon
 
 TECH = hk28()
 OPTS = FlowOptions(sizing_iterations=0)
@@ -247,7 +254,7 @@ def _spy_overflow(monkeypatch, rounds):
 
     def spy(self):
         got = orig(self)
-        want = self._nets_on_overflow_reference()
+        want = nets_on_overflow_reference(self)
         assert [r.net.name for r in got] == [r.net.name for r in want]
         rounds.append([r.net.name for r in got])
         return got
@@ -283,7 +290,7 @@ class TestDeltaRipUp:
         monkeypatch.setattr(
             reference,
             "_nets_on_overflow",
-            reference._nets_on_overflow_reference,
+            lambda: nets_on_overflow_reference(reference),
         )
         assert _paths(reference.run()) == delta
 
@@ -325,3 +332,102 @@ class TestDeltaRipUp:
             if any(len(e.path) > 1 for e in r.edges)
         }
         assert uses_edges and ripped == uses_edges
+
+
+def _route_with(state, solvers):
+    """Route the state's design with ``solvers`` maze processes, noting
+    each maze query that misses its epoch's pre-solved batch.  With
+    ``solvers=None`` nothing is pre-solved: every query is searched
+    one by one as routing asks it (the memo as a plain cache)."""
+    misses = []
+    maze = GlobalRouter._route_edge_maze
+
+    def spy(self, a, b):
+        if a != b and (a, b) not in self._maze_memo:
+            misses.append((a, b))
+        return maze(self, a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if solvers is None:
+            patch.setattr(GlobalRouter, "_solve_epoch", lambda *args: None)
+        else:
+            patch.setattr(global_route, "_solver_count", lambda: solvers)
+        patch.setattr(GlobalRouter, "_route_edge_maze", spy)
+        router = _fresh_router(state)
+        with recording() as recorder:
+            routed = router.run()
+    return SimpleNamespace(
+        routed=routed,
+        grid=router.grid,
+        trace=FlowTrace.from_recorder(recorder),
+        misses=misses,
+        children=multiprocessing.active_children(),
+    )
+
+
+def _die_in_solver(cost_h, cost_v, nx, ny, limit, queries):
+    """A share solver that kills any forked solver process running it."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return [
+        global_route.maze_search(cost_h, cost_v, nx, ny, limit, a, b)
+        for a, b in queries
+    ]
+
+
+class TestMazeBatches:
+    @pytest.fixture(scope="class")
+    def runs(self, state):
+        return {
+            solvers: _route_with(state, solvers) for solvers in (None, 1, 2)
+        }
+
+    @staticmethod
+    def _assert_same_routing(got, want):
+        assert _paths(got.routed) == _paths(want.routed)
+        for plane in ("use_h", "use_v", "history_h", "history_v"):
+            assert np.array_equal(
+                getattr(got.grid, plane), getattr(want.grid, plane)
+            )
+        assert got.trace.counters == want.trace.counters
+
+    def test_batches_match_one_by_one_search(self, runs):
+        assert runs[None].misses  # the unbatched run did search
+        self._assert_same_routing(runs[1], runs[None])
+
+    def test_solver_count_changes_nothing(self, runs):
+        serial, pooled = runs[1], runs[2]
+        self._assert_same_routing(pooled, serial)
+        # Spans carry no machine-dependent attrs: equal traces.
+        assert _trace_canon(pooled.trace) == _trace_canon(serial.trace)
+        assert serial.trace.counters["maze_routes"] > 0
+        # The solver pool does not outlive run().
+        assert pooled.children == [] and serial.children == []
+
+    def test_router_spans_nest_rounds_and_batches(self, runs):
+        spans = runs[1].trace.spans
+        rounds = int(runs[1].trace.counters["negotiation_rounds"])
+        assert [s.name for s in spans] == (
+            ["route_initial"] + ["route_round"] * rounds
+        )
+        for number, round_span in enumerate(spans[1:], 1):
+            assert round_span.attrs["round"] == number
+            assert round_span.attrs["offenders"] > 0
+            assert round_span.children
+            for batch in round_span.children:
+                assert batch.name == "route_maze"
+                assert batch.attrs["queries"] > 0
+
+    def test_batches_cover_every_maze_query(self, runs):
+        assert runs[1].misses == [] and runs[2].misses == []
+
+    def test_dead_solver_names_the_batch(self, state, monkeypatch):
+        monkeypatch.setattr(global_route, "_solver_count", lambda: 2)
+        monkeypatch.setattr(global_route, "_solve_share", _die_in_solver)
+        router = _fresh_router(state)
+        with pytest.raises(
+            MazeBatchError,
+            match=r"negotiation round 1, slice from offender 0, \d+ queries",
+        ):
+            router.run()
+        assert multiprocessing.active_children() == []

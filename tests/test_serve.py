@@ -31,6 +31,7 @@ from repro.bench.baseline import (
     worst_status,
 )
 from repro.cache import active_cache
+from repro.route.global_route import GlobalRouter
 from repro.obs.history import (
     HistoryRecord,
     append_history,
@@ -194,6 +195,28 @@ class TestWorkerDeath:
         ]
         assert all("BrokenProcessPool" in f.traceback for f in failures)
         assert schedule["scenarios"] == []
+
+
+class TestRouterInServiceWorkers:
+    """A service worker shares the CPUs with its siblings, so its router
+    solves maze batches in-process and never forks a solver pool."""
+
+    def test_service_job_routes_without_a_solver_pool(
+        self, tiny_registered, tmp_path, monkeypatch
+    ):
+        if fork_context() is None:
+            pytest.skip("service workers fork only with the fork start method")
+
+        def no_pool(router):
+            raise AssertionError("a service worker opened a maze solver pool")
+
+        # Forked after the patch, so the workers inherit it.
+        monkeypatch.setattr(GlobalRouter, "_solver_pool", no_pool)
+        with FlowService(jobs=1, out_dir=str(tmp_path / "out")) as service:
+            assert service.mode == "fork-pool"
+            record = service.wait(service.submit(TINY.name), timeout=300)
+        assert record.state == DONE, record.traceback
+        assert record.artifact.counters["maze_routes"] > 0
 
 
 class TestRunThroughput:
